@@ -1,5 +1,7 @@
 #include "cache/cache.hh"
 
+#include <algorithm>
+
 #include "common/bitutils.hh"
 #include "common/logging.hh"
 #include "mem/address.hh"
@@ -35,8 +37,15 @@ SectoredCache::SectoredCache(Bytes size, int assoc, std::string name)
                 "cache '", name_, "': size ", size,
                 " not a multiple of assoc*line");
     numSets_ = size / set_bytes;
-    tags_.assign(numSets_ * assoc_, kNoLine);
-    meta_.resize(numSets_ * assoc_);
+    constexpr size_t line_words = kHostLine / sizeof(uint64_t);
+    setWords_ = static_cast<size_t>(
+        roundUp(2 * static_cast<uint64_t>(assoc_), line_words));
+    const size_t words = numSets_ * setWords_;
+    sets_.reset(static_cast<uint64_t *>(::operator new[](
+        words * sizeof(uint64_t), std::align_val_t{kHostLine})));
+    std::fill_n(sets_.get(), words, uint64_t{0});
+    for (size_t set = 0; set < numSets_; ++set)
+        std::fill_n(setAt(set), assoc_, kNoLine);
     if (isPowerOfTwo(numSets_)) {
         int shift = 0;
         while ((size_t(1) << shift) < numSets_)
@@ -50,23 +59,19 @@ SectoredCache::SectoredCache(Bytes size, int assoc, std::string name)
     }
 }
 
-
-
-
-
 uint64_t
 SectoredCache::invalidateRange(Addr lo, Addr hi)
 {
     uint64_t dropped = 0;
     for (Addr line = lineBase(lo); line < hi; line += kLineSize) {
-        const size_t base = setIndex(line) * assoc_;
+        uint64_t *const tags = setAt(setIndex(line));
         for (int i = 0; i < assoc_; ++i) {
-            if (tags_[base + i] != line)
+            if (tags[i] != line)
                 continue;
             dropped += static_cast<uint64_t>(
-                __builtin_popcount(meta_[base + i].sectorValid));
-            tags_[base + i] = kNoLine;
-            meta_[base + i] = WayMeta{};
+                __builtin_popcountll(tags[assoc_ + i] & kValidMask));
+            tags[i] = kNoLine;
+            tags[assoc_ + i] = 0;
             break;
         }
     }
@@ -77,13 +82,16 @@ uint64_t
 SectoredCache::invalidateAll()
 {
     uint64_t dirty = 0;
-    for (size_t i = 0; i < tags_.size(); ++i) {
-        if (tags_[i] != kNoLine) {
-            dirty += static_cast<uint64_t>(
-                __builtin_popcount(meta_[i].sectorDirty));
+    for (size_t set = 0; set < numSets_; ++set) {
+        uint64_t *const tags = setAt(set);
+        for (int i = 0; i < assoc_; ++i) {
+            if (tags[i] != kNoLine) {
+                dirty += static_cast<uint64_t>(__builtin_popcountll(
+                    (tags[assoc_ + i] >> kSectorsPerLine) & kValidMask));
+            }
+            tags[i] = kNoLine;
+            tags[assoc_ + i] = 0;
         }
-        tags_[i] = kNoLine;
-        meta_[i] = WayMeta{};
     }
     return dirty;
 }

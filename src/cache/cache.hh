@@ -17,8 +17,9 @@
 #define LADM_CACHE_CACHE_HH
 
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <string>
-#include <vector>
 
 #include "common/types.hh"
 #include "mem/address.hh"
@@ -148,28 +149,55 @@ class SectoredCache
      */
     static constexpr Addr kNoLine = ~Addr{0};
 
-    /** Per-way state other than the tag (see layout note below). */
-    struct WayMeta
+    /**
+     * A way's state other than its tag, packed into one word:
+     * lastUse << kUseShift | dirty << kSectorsPerLine | valid (a bit
+     * per sector in each mask). lastUse is unique per cache -- every
+     * access stamps at most one way with a fresh clock value -- so
+     * comparing whole words orders ways exactly by LRU age.
+     */
+    static constexpr int kUseShift = 2 * kSectorsPerLine;
+    static constexpr uint64_t kValidMask = (1u << kSectorsPerLine) - 1;
+    static constexpr uint64_t kFlagMask = (1u << kUseShift) - 1;
+    static constexpr uint64_t
+    dirtyBits(uint64_t sbit)
     {
-        uint8_t sectorValid = 0; // bit per sector
-        uint8_t sectorDirty = 0;
-        uint64_t lastUse = 0;    // LRU timestamp
+        return sbit << kSectorsPerLine;
+    }
+
+    /** Host cache-line size every set is aligned and padded to. */
+    static constexpr size_t kHostLine = 64;
+
+    struct AlignedDelete
+    {
+        void
+        operator()(uint64_t *p) const
+        {
+            ::operator delete[](p, std::align_val_t{kHostLine});
+        }
     };
 
     size_t setIndex(Addr line_addr) const;
+
+    /** First word of set @p set: its assoc_ tags, then assoc_ way words. */
+    uint64_t *
+    setAt(size_t set) const
+    {
+        return sets_.get() + set * setWords_;
+    }
 
     std::string name_;
     int assoc_;
     size_t numSets_ = 0;
     /**
-     * Structure-of-arrays, set-major: the tag scan -- which every
-     * lookup pays across all assoc_ ways -- touches a dense 8-byte
-     * array (two cache lines for a 16-way L2 set) instead of dragging
-     * the LRU/sector metadata through it; the metadata is only touched
-     * for the one way that matches (or the victim).
+     * Set-major and packed: each set is one contiguous, host-line-
+     * aligned run of setWords_ words -- the tags the lookup scans, then
+     * one packed state word per way -- so a 4-way L1 set is exactly one
+     * 64-byte host line and a 16-way L2 set four.
      */
-    std::vector<Addr> tags_;     // kNoLine = empty way
-    std::vector<WayMeta> meta_;  // parallel to tags_
+    std::unique_ptr<uint64_t[], AlignedDelete> sets_;
+    /** 2 * assoc_ rounded up to a whole number of host lines. */
+    size_t setWords_ = 0;
     /** log2(numSets_) when it is a power of two, else -1 (slow path). */
     int setShift_ = -1;
     uint64_t setMask_ = 0;
@@ -210,7 +238,7 @@ SectoredCache::setIndex(Addr line_addr) const
 inline void
 SectoredCache::prefetchSet(Addr addr) const
 {
-    __builtin_prefetch(&tags_[setIndex(lineBase(addr)) * assoc_]);
+    __builtin_prefetch(setAt(setIndex(lineBase(addr))));
 }
 
 inline AccessResult
@@ -222,29 +250,28 @@ SectoredCache::access(Addr addr, bool is_write, bool allocate,
 
     const Addr line = lineBase(addr);
     const int sector = static_cast<int>((addr - line) / kSectorSize);
-    const uint8_t sbit = static_cast<uint8_t>(1u << sector);
-    const size_t base = setIndex(line) * assoc_;
-    Addr *const tags = &tags_[base];
+    const uint64_t sbit = uint64_t{1} << sector;
+    uint64_t *const tags = setAt(setIndex(line));
+    uint64_t *const way = tags + assoc_;
+    const uint64_t stamp = useClock_ << kUseShift;
 
     for (int i = 0; i < assoc_; ++i) {
         if (tags[i] == line) {
-            WayMeta &w = meta_[base + i];
-            w.lastUse = useClock_;
-            if (w.sectorValid & sbit) {
+            uint64_t w = (way[i] & kFlagMask) | stamp;
+            if (w & sbit) {
                 if (is_write)
-                    w.sectorDirty |= sbit;
+                    w |= dirtyBits(sbit);
+                way[i] = w;
                 ++hits_;
                 return AccessResult::Hit;
             }
             // Tag hit, sector absent: fill just the sector.
             ++sectorMisses_;
-            if (allocate) {
-                w.sectorValid |= sbit;
-                if (is_write)
-                    w.sectorDirty |= sbit;
-            } else {
+            if (allocate)
+                w |= is_write ? sbit | dirtyBits(sbit) : sbit;
+            else
                 ++bypasses_;
-            }
+            way[i] = w;
             return AccessResult::SectorMiss;
         }
     }
@@ -262,19 +289,18 @@ SectoredCache::access(Addr addr, bool is_write, bool allocate,
             victim = i;
             break;
         }
-        if (meta_[base + i].lastUse < meta_[base + victim].lastUse)
+        if (way[i] < way[victim])
             victim = i;
     }
-    WayMeta &w = meta_[base + victim];
     if (tags[victim] != kNoLine && evict) {
         evict->evicted = true;
         evict->lineAddr = tags[victim];
-        evict->dirtyMask = w.sectorDirty;
+        evict->dirtyMask =
+            static_cast<uint8_t>((way[victim] >> kSectorsPerLine) &
+                                 kValidMask);
     }
     tags[victim] = line;
-    w.sectorValid = sbit;
-    w.sectorDirty = is_write ? sbit : 0;
-    w.lastUse = useClock_;
+    way[victim] = stamp | (is_write ? sbit | dirtyBits(sbit) : sbit);
     return AccessResult::Miss;
 }
 
@@ -283,11 +309,11 @@ SectoredCache::probe(Addr addr) const
 {
     const Addr line = lineBase(addr);
     const int sector = static_cast<int>((addr - line) / kSectorSize);
-    const uint8_t sbit = static_cast<uint8_t>(1u << sector);
-    const size_t base = setIndex(line) * assoc_;
+    const uint64_t sbit = uint64_t{1} << sector;
+    const uint64_t *const tags = setAt(setIndex(line));
     for (int i = 0; i < assoc_; ++i) {
-        if (tags_[base + i] == line)
-            return (meta_[base + i].sectorValid & sbit) != 0;
+        if (tags[i] == line)
+            return (tags[assoc_ + i] & sbit) != 0;
     }
     return false;
 }
@@ -297,18 +323,17 @@ SectoredCache::invalidateSector(Addr addr)
 {
     const Addr line = lineBase(addr);
     const int sector = static_cast<int>((addr - line) / kSectorSize);
-    const uint8_t sbit = static_cast<uint8_t>(1u << sector);
-    const size_t base = setIndex(line) * assoc_;
+    const uint64_t sbit = uint64_t{1} << sector;
+    uint64_t *const tags = setAt(setIndex(line));
     for (int i = 0; i < assoc_; ++i) {
-        if (tags_[base + i] != line)
+        if (tags[i] != line)
             continue;
-        WayMeta &w = meta_[base + i];
-        const bool present = (w.sectorValid & sbit) != 0;
-        w.sectorValid &= static_cast<uint8_t>(~sbit);
-        w.sectorDirty &= static_cast<uint8_t>(~sbit);
-        if (w.sectorValid == 0) {
-            tags_[base + i] = kNoLine;
-            w = WayMeta{};
+        uint64_t &w = tags[assoc_ + i];
+        const bool present = (w & sbit) != 0;
+        w &= ~(sbit | dirtyBits(sbit));
+        if ((w & kValidMask) == 0) {
+            tags[i] = kNoLine;
+            w = 0;
         }
         return present;
     }

@@ -47,7 +47,15 @@ MemorySystem::MemorySystem(const SystemConfig &cfg)
     dram_.reserve(static_cast<size_t>(nodes) * channels);
     xbar_.reserve(nodes);
     pending_.resize(nodes);
-    pendingSweepAt_.assign(nodes, kSweepFloor);
+    // Every warp slot runs at most warpPipelineDepth steps ahead of its
+    // oldest completion (clamped as the engine clamps it), and a step
+    // of one coalesced access misses at most one line's sectors.
+    const size_t depth = std::clamp(cfg_.warpPipelineDepth, 1, 4);
+    sweepFloor_ = std::max<size_t>(
+        static_cast<size_t>(cfg_.smsPerChiplet) * cfg_.warpSlotsPerSm *
+            depth * (kLineSize / kSectorSize),
+        kMinSweepFloor);
+    pendingSweepAt_.assign(nodes, sweepFloor_);
     const double chan_bpc =
         cfg_.bytesPerCycle(cfg_.memBwPerChipletGBs) / channels;
     const double xbar_bpc = cfg_.bytesPerCycle(cfg_.intraChipletXbarGBs);
@@ -306,19 +314,8 @@ MemorySystem::access(Cycles now, SmId sm, Addr addr, bool write)
                 obs_link, obs_dram, delay);
     }
 
-    // Bound the outstanding-miss table: expired entries are dead
-    // weight. The sweep is amortized -- after each pass the next
-    // watermark doubles from whatever survived, so a table full of
-    // still-in-flight entries cannot trigger an O(n) scan per access.
     const Cycles done = now + delay;
-    if (pend.size() >= pendingSweepAt_[node]) {
-        pend.sweepExpired(now);
-        pendingSweepAt_[node] =
-            std::max<size_t>(2 * pend.size(), kSweepFloor);
-        pend.insert(addr, done); // the sweep invalidated the Ref
-    } else {
-        pend.insertAt(mshr, addr, done);
-    }
+    insertPending(node, mshr, addr, now, done);
     return done;
 }
 
@@ -664,7 +661,7 @@ MemorySystem::resetStats()
     // merges with timestamps from the previous one.
     for (auto &p : pending_)
         p.clear();
-    pendingSweepAt_.assign(pendingSweepAt_.size(), kSweepFloor);
+    pendingSweepAt_.assign(pendingSweepAt_.size(), sweepFloor_);
 }
 
 // --- sharded (conservative-PDES) access path -----------------------------
@@ -756,14 +753,7 @@ MemorySystem::shardAccess(ShardLane &lane, Cycles now, SmId sm, Addr addr,
         ctr.delayDram += d;
         delay += d;
         const Cycles done = now + delay;
-        if (pend.size() >= pendingSweepAt_[node]) {
-            pend.sweepExpired(now);
-            pendingSweepAt_[node] =
-                std::max<size_t>(2 * pend.size(), kSweepFloor);
-            pend.insert(addr, done);
-        } else {
-            pend.insertAt(mshr, addr, done);
-        }
+        insertPending(node, mshr, addr, now, done);
         return {done, kShardNoOp};
     }
 
@@ -798,19 +788,6 @@ MemorySystem::shardHandleEviction(ShardLane &lane, Cycles now, NodeId node,
 }
 
 void
-MemorySystem::insertPendingSwept(NodeId node, Addr addr, Cycles now,
-                                 Cycles done)
-{
-    auto &pend = pending_[node];
-    if (pend.size() >= pendingSweepAt_[node]) {
-        pend.sweepExpired(now);
-        pendingSweepAt_[node] =
-            std::max<size_t>(2 * pend.size(), kSweepFloor);
-    }
-    pend.insert(addr, done);
-}
-
-void
 MemorySystem::execRemoteLeg(ShardOp &op)
 {
     const NodeId node = op.node;
@@ -842,7 +819,8 @@ MemorySystem::execRemoteLeg(ShardOp &op)
         delay += d;
     }
     op.done = op.time + delay;
-    insertPendingSwept(node, op.addr, op.time, op.done);
+    insertPending(node, pending_[node].locate(op.addr), op.addr, op.time,
+                  op.done);
 }
 
 void
@@ -868,7 +846,8 @@ MemorySystem::finishShardFetch(ShardOp &op)
         ctr_[node].delayDram += d;
         op.partial += d;
         op.done = op.time + op.partial;
-        insertPendingSwept(node, op.addr, op.time, op.done);
+        insertPending(node, pending_[node].locate(op.addr), op.addr,
+                      op.time, op.done);
         return;
     }
     ++fetchRemote_[node];

@@ -21,7 +21,9 @@
 #ifndef LADM_SIM_MEMORY_SYSTEM_HH
 #define LADM_SIM_MEMORY_SYSTEM_HH
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -281,6 +283,24 @@ class MemorySystem
         return v;
     }
 
+    /** Slots allocated by @p node's outstanding-miss table. */
+    size_t mshrCapacity(NodeId node) const
+    {
+        return pending_[node].capacity();
+    }
+    /**
+     * Upper bound on mshrCapacity() while at most the sweep floor's
+     * worth of misses is in flight at each sweep: the watermark then
+     * stays within twice the floor, and the table grows only to the
+     * power of two whose 3/4 load limit holds that (32768 slots, 512 KB
+     * on multiGpu4x4).
+     */
+    size_t
+    mshrCapacityBound() const
+    {
+        return std::bit_ceil((8 * sweepFloor_ + 2) / 3);
+    }
+
     const Network &network() const { return *net_; }
     const SectoredCache &l2(NodeId n) const { return l2_[n]; }
     /** Aggregate DRAM accesses / busy cycles over a node's channels. */
@@ -380,9 +400,28 @@ class MemorySystem
     void finishShardFetch(ShardOp &op);
     /** Serial phase: both fabric legs + home-side L2/DRAM of a fetch. */
     void execRemoteLeg(ShardOp &op);
-    /** Amortized-sweep pending-table insert shared by the deferred path. */
-    void insertPendingSwept(NodeId node, Addr addr, Cycles now,
-                            Cycles done);
+    /**
+     * Record a miss on @p addr completing at @p done in @p node's
+     * outstanding-miss table, at the slot @p ref located with no
+     * intervening mutation. Expired entries are dead weight, so once
+     * the table reaches its watermark it is swept at @p now first; the
+     * next watermark doubles from whatever survived, so a table full of
+     * still-in-flight entries cannot trigger an O(n) scan per access.
+     */
+    void
+    insertPending(NodeId node, MshrTable::Ref ref, Addr addr, Cycles now,
+                  Cycles done)
+    {
+        MshrTable &pend = pending_[node];
+        if (pend.size() >= pendingSweepAt_[node]) {
+            pend.sweepExpired(now);
+            pendingSweepAt_[node] =
+                std::max<size_t>(2 * pend.size(), sweepFloor_);
+            pend.insert(addr, done); // the sweep invalidated the Ref
+        } else {
+            pend.insertAt(ref, addr, done);
+        }
+    }
 
     void
     countClass(NodeId origin, NodeId home, NodeId here, bool hit)
@@ -438,12 +477,17 @@ class MemorySystem
     /**
      * Sweep floor for the outstanding-miss tables: a node's table is
      * swept of expired entries once it reaches this size. Expired
-     * entries can never satisfy a merge (`now` is globally monotone),
-     * so the floor is pure performance policy: 64K keeps the table
-     * within ~2MB and its probes cache-resident, where a higher floor
-     * lets it balloon to tens of MB of dead entries.
+     * entries can never satisfy a merge (`now` is monotone), so the
+     * floor is pure performance policy. It is the node's in-flight
+     * ceiling for coalesced traffic -- every warp slot on its SMs with
+     * warpPipelineDepth steps of one line each outstanding (12288
+     * sectors on multiGpu4x4) -- so the table stays within
+     * mshrCapacityBound() and its probes in the host's L2. Never below
+     * kMinSweepFloor, so the tiny machines tests build do not sweep
+     * every few accesses.
      */
-    static constexpr size_t kSweepFloor = size_t{1} << 16;
+    size_t sweepFloor_ = 0;
+    static constexpr size_t kMinSweepFloor = 1024;
     /** Per-node size watermark for the amortized pending-table sweep. */
     std::vector<size_t> pendingSweepAt_;
     /** nodeOfSm() hoisted into a table, built once per topology. */

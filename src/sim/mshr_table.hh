@@ -64,8 +64,8 @@ class MshrTable
 
     /**
      * Hint the CPU to pull @p addr's home slot into cache ahead of the
-     * locate() that follows -- the table is megabytes, so the probe is
-     * a near-certain cache miss whose latency this hides behind the L1
+     * locate() that follows -- the table outgrows the host's L1, so the
+     * probe can miss there; this hides that latency behind the L1
      * lookup. No architectural effect.
      */
     void
@@ -189,6 +189,8 @@ class MshrTable
 
     size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
+    /** Slots allocated (a power of two); invisible to lookups. */
+    size_t capacity() const { return slots_.size(); }
 
     void
     clear()

@@ -12,9 +12,9 @@
  *    header guarantees the restoring run derives identical values. Where
  *    cheap, a count is written anyway and validated on load so a
  *    fingerprint collision surfaces as a SimError, not memory stomping.
- *  - Structs with padding (WarpEvent, WayMeta, TlbEntry, ...) are
- *    serialized field-wise; only padding-free trivially-copyable structs
- *    go through Writer::vec's raw memcpy.
+ *  - Structs with padding (WarpEvent, TlbEntry, ...) and packed words
+ *    (cache way state) are serialized field-wise; only padding-free
+ *    trivially-copyable structs go through Writer::vec's raw memcpy.
  *  - Hash maps are written in iteration order. That order is not
  *    deterministic, but it is never behavior-relevant: both maps here
  *    (page exceptions, migration streaks) are key-probed only, and the
@@ -412,14 +412,26 @@ MshrTable::loadState(serial::Reader &r)
 
 // --- cache/cache.hh ---------------------------------------------------------
 
+// Way-major byte layout, independent of the packed in-memory sets:
+// every tag in (set, way) order, then per way u8 valid, u8 dirty,
+// u64 lastUse.
+
 void
 SectoredCache::saveState(serial::Writer &w) const
 {
-    w.vec(tags_);
-    for (const WayMeta &m : meta_) {
-        w.u8(m.sectorValid);
-        w.u8(m.sectorDirty);
-        w.u64(m.lastUse);
+    std::vector<Addr> tags;
+    tags.reserve(numSets_ * assoc_);
+    for (size_t set = 0; set < numSets_; ++set)
+        tags.insert(tags.end(), setAt(set), setAt(set) + assoc_);
+    w.vec(tags);
+    for (size_t set = 0; set < numSets_; ++set) {
+        const uint64_t *const way = setAt(set) + assoc_;
+        for (int i = 0; i < assoc_; ++i) {
+            w.u8(static_cast<uint8_t>(way[i] & kValidMask));
+            w.u8(static_cast<uint8_t>((way[i] >> kSectorsPerLine) &
+                                      kValidMask));
+            w.u64(way[i] >> kUseShift);
+        }
     }
     w.u64(useClock_);
     w.u64(accesses_);
@@ -432,13 +444,22 @@ SectoredCache::saveState(serial::Writer &w) const
 void
 SectoredCache::loadState(serial::Reader &r)
 {
-    const size_t ways = meta_.size();
-    r.vec(tags_);
-    expectCount(tags_.size(), ways, "cache ways");
-    for (WayMeta &m : meta_) {
-        m.sectorValid = r.u8();
-        m.sectorDirty = r.u8();
-        m.lastUse = r.u64();
+    std::vector<Addr> tags;
+    r.vec(tags);
+    expectCount(tags.size(), numSets_ * assoc_, "cache ways");
+    for (size_t set = 0; set < numSets_; ++set) {
+        uint64_t *const way =
+            std::copy_n(tags.begin() + set * assoc_, assoc_, setAt(set));
+        for (int i = 0; i < assoc_; ++i) {
+            const uint64_t valid = r.u8();
+            const uint64_t dirty = r.u8();
+            const uint64_t last_use = r.u64();
+            if ((valid | dirty) > kValidMask ||
+                last_use >> (64 - kUseShift) != 0)
+                badState("cache way state");
+            way[i] = last_use << kUseShift |
+                     dirty << kSectorsPerLine | valid;
+        }
     }
     useClock_ = r.u64();
     accesses_ = r.u64();

@@ -12,20 +12,26 @@
  *    replaced, including collision chains, backward-shift deletion,
  *    expiry sweeps, and the O(1) generation-stamped clear (with
  *    generation wrap-around);
+ *  - the packed set-major SectoredCache against the way-major tag +
+ *    per-way metadata arrays it replaced, down to checkpoint bytes;
  *  - the EventQueue's two modes against the std::priority_queue the
  *    engine historically used.
  */
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <queue>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "cache/cache.hh"
 #include "common/bitutils.hh"
 #include "common/rng.hh"
+#include "common/serial.hh"
 #include "mem/address.hh"
 #include "mem/page_table.hh"
 #include "sim/event_queue.hh"
@@ -442,6 +448,299 @@ TEST(MshrEquivalence, CollisionChainsCompactOnErase)
         }
     }
     EXPECT_EQ(t.size(), ref.size());
+}
+
+// ---------------------------------------------------------------------------
+// Reference model: the way-major SectoredCache the packed set-major one
+// replaced -- a dense tag array plus a parallel array of padded per-way
+// {valid, dirty, lastUse} records, with the same set hash and the same
+// checkpoint byte layout.
+// ---------------------------------------------------------------------------
+class WayMajorCacheReference
+{
+  public:
+    WayMajorCacheReference(Bytes size, int assoc)
+        : assoc_(assoc), numSets_(size / (assoc * kLineSize)),
+          tags_(numSets_ * assoc, kNoLine), meta_(numSets_ * assoc)
+    {
+    }
+
+    AccessResult
+    access(Addr addr, bool is_write, bool allocate, EvictInfo *evict)
+    {
+        ++accesses_;
+        ++useClock_;
+        const Addr line = lineBase(addr);
+        const uint8_t sbit = sectorBit(addr);
+        const size_t base = setIndex(line) * assoc_;
+        for (int i = 0; i < assoc_; ++i) {
+            if (tags_[base + i] != line)
+                continue;
+            WayMeta &w = meta_[base + i];
+            w.lastUse = useClock_;
+            if (w.valid & sbit) {
+                if (is_write)
+                    w.dirty |= sbit;
+                ++hits_;
+                return AccessResult::Hit;
+            }
+            ++sectorMisses_;
+            if (allocate) {
+                w.valid |= sbit;
+                if (is_write)
+                    w.dirty |= sbit;
+            } else {
+                ++bypasses_;
+            }
+            return AccessResult::SectorMiss;
+        }
+        ++lineMisses_;
+        if (!allocate) {
+            ++bypasses_;
+            return AccessResult::Miss;
+        }
+        int victim = 0;
+        for (int i = 0; i < assoc_; ++i) {
+            if (tags_[base + i] == kNoLine) {
+                victim = i;
+                break;
+            }
+            if (meta_[base + i].lastUse < meta_[base + victim].lastUse)
+                victim = i;
+        }
+        WayMeta &w = meta_[base + victim];
+        if (tags_[base + victim] != kNoLine && evict) {
+            evict->evicted = true;
+            evict->lineAddr = tags_[base + victim];
+            evict->dirtyMask = w.dirty;
+        }
+        tags_[base + victim] = line;
+        w = {sbit, static_cast<uint8_t>(is_write ? sbit : 0), useClock_};
+        return AccessResult::Miss;
+    }
+
+    bool
+    probe(Addr addr) const
+    {
+        const Addr line = lineBase(addr);
+        const size_t base = setIndex(line) * assoc_;
+        for (int i = 0; i < assoc_; ++i)
+            if (tags_[base + i] == line)
+                return (meta_[base + i].valid & sectorBit(addr)) != 0;
+        return false;
+    }
+
+    bool
+    invalidateSector(Addr addr)
+    {
+        const Addr line = lineBase(addr);
+        const uint8_t sbit = sectorBit(addr);
+        const size_t base = setIndex(line) * assoc_;
+        for (int i = 0; i < assoc_; ++i) {
+            if (tags_[base + i] != line)
+                continue;
+            WayMeta &w = meta_[base + i];
+            const bool present = (w.valid & sbit) != 0;
+            w.valid &= static_cast<uint8_t>(~sbit);
+            w.dirty &= static_cast<uint8_t>(~sbit);
+            if (w.valid == 0) {
+                tags_[base + i] = kNoLine;
+                w = WayMeta{};
+            }
+            return present;
+        }
+        return false;
+    }
+
+    uint64_t
+    invalidateRange(Addr lo, Addr hi)
+    {
+        uint64_t dropped = 0;
+        for (Addr line = lineBase(lo); line < hi; line += kLineSize) {
+            const size_t base = setIndex(line) * assoc_;
+            for (int i = 0; i < assoc_; ++i) {
+                if (tags_[base + i] != line)
+                    continue;
+                dropped += __builtin_popcount(meta_[base + i].valid);
+                tags_[base + i] = kNoLine;
+                meta_[base + i] = WayMeta{};
+                break;
+            }
+        }
+        return dropped;
+    }
+
+    uint64_t
+    invalidateAll()
+    {
+        uint64_t dirty = 0;
+        for (size_t i = 0; i < tags_.size(); ++i) {
+            if (tags_[i] != kNoLine)
+                dirty += __builtin_popcount(meta_[i].dirty);
+            tags_[i] = kNoLine;
+            meta_[i] = WayMeta{};
+        }
+        return dirty;
+    }
+
+    void
+    saveState(serial::Writer &w) const
+    {
+        w.vec(tags_);
+        for (const WayMeta &m : meta_) {
+            w.u8(m.valid);
+            w.u8(m.dirty);
+            w.u64(m.lastUse);
+        }
+        w.u64(useClock_);
+        w.u64(accesses_);
+        w.u64(hits_);
+        w.u64(sectorMisses_);
+        w.u64(lineMisses_);
+        w.u64(bypasses_);
+    }
+
+    uint64_t accesses_ = 0, hits_ = 0, sectorMisses_ = 0,
+             lineMisses_ = 0, bypasses_ = 0;
+
+  private:
+    static constexpr Addr kNoLine = ~Addr{0};
+
+    struct WayMeta
+    {
+        uint8_t valid = 0;
+        uint8_t dirty = 0;
+        uint64_t lastUse = 0;
+    };
+
+    static uint8_t
+    sectorBit(Addr addr)
+    {
+        return static_cast<uint8_t>(
+            1u << ((addr - lineBase(addr)) / kSectorSize));
+    }
+
+    size_t
+    setIndex(Addr line_addr) const
+    {
+        const uint64_t line = line_addr / kLineSize;
+        const uint64_t n = numSets_;
+        uint64_t h = line;
+        h ^= line / n;
+        h ^= line / (n * n);
+        h ^= h >> 17;
+        return static_cast<size_t>(h % n);
+    }
+
+    int assoc_;
+    size_t numSets_;
+    std::vector<Addr> tags_;
+    std::vector<WayMeta> meta_;
+    uint64_t useClock_ = 0;
+};
+
+template <typename Cache>
+std::string
+checkpointBytes(const Cache &c)
+{
+    serial::Writer w;
+    w.beginSection(1);
+    c.saveState(w);
+    w.endSection();
+    return w.finish(0);
+}
+
+/**
+ * Drive the packed cache and the way-major reference with one random
+ * op stream and require identical results, eviction reports, counters
+ * and checkpoint bytes throughout. Halfway through, the packed cache is
+ * replaced by one restored from its own checkpoint, so loadState is
+ * held to the same stream.
+ */
+void
+expectCacheMatchesWayMajor(Bytes size, int assoc, uint64_t seed)
+{
+    SCOPED_TRACE("size " + std::to_string(size) + " assoc " +
+                 std::to_string(assoc));
+    Rng rng(seed);
+    auto got = std::make_unique<SectoredCache>(size, assoc, "packed");
+    WayMajorCacheReference ref(size, assoc);
+
+    // A line pool about three times the capacity keeps every set under
+    // eviction pressure while still re-touching resident lines; a few
+    // far-away lines exercise the high tag bits.
+    const uint64_t lines = 3 * size / kLineSize + 1;
+    auto randomAddr = [&] {
+        Addr line = rng.nextBounded(lines) * kLineSize;
+        if (rng.nextBounded(16) == 0)
+            line += Addr{1} << 40;
+        return line + rng.nextBounded(kLineSize);
+    };
+
+    constexpr int kOps = 40000;
+    for (int op = 0; op < kOps; ++op) {
+        const Addr addr = randomAddr();
+        switch (rng.nextBounded(16)) {
+        case 0:
+            ASSERT_EQ(got->probe(addr), ref.probe(addr)) << "op " << op;
+            break;
+        case 1:
+        case 2:
+            ASSERT_EQ(got->invalidateSector(addr),
+                      ref.invalidateSector(addr))
+                << "op " << op;
+            break;
+        case 3: {
+            const Addr hi = addr + rng.nextBounded(4 * kLineSize);
+            ASSERT_EQ(got->invalidateRange(addr, hi),
+                      ref.invalidateRange(addr, hi))
+                << "op " << op;
+            break;
+        }
+        case 4:
+            if (rng.nextBounded(500) == 0) {
+                ASSERT_EQ(got->invalidateAll(), ref.invalidateAll())
+                    << "op " << op;
+            }
+            break;
+        default: {
+            const bool write = rng.nextBounded(2) != 0;
+            const bool allocate = rng.nextBounded(4) != 0;
+            EvictInfo eg, er;
+            ASSERT_EQ(got->access(addr, write, allocate, &eg),
+                      ref.access(addr, write, allocate, &er))
+                << "op " << op;
+            ASSERT_EQ(eg.evicted, er.evicted) << "op " << op;
+            ASSERT_EQ(eg.lineAddr, er.lineAddr) << "op " << op;
+            ASSERT_EQ(eg.dirtyMask, er.dirtyMask) << "op " << op;
+            break;
+        }
+        }
+        if (op % 1000 == 0 || op == kOps - 1) {
+            ASSERT_EQ(checkpointBytes(*got), checkpointBytes(ref))
+                << "op " << op;
+        }
+        if (op == kOps / 2) {
+            serial::Reader r(checkpointBytes(*got));
+            r.openSection(1);
+            got = std::make_unique<SectoredCache>(size, assoc, "restored");
+            got->loadState(r);
+        }
+    }
+    EXPECT_EQ(got->accesses(), ref.accesses_);
+    EXPECT_EQ(got->hits(), ref.hits_);
+    EXPECT_EQ(got->sectorMisses(), ref.sectorMisses_);
+    EXPECT_EQ(got->lineMisses(), ref.lineMisses_);
+    EXPECT_EQ(got->bypasses(), ref.bypasses_);
+}
+
+TEST(CacheEquivalence, PackedSetsMatchWayMajorReference)
+{
+    expectCacheMatchesWayMajor(64 * 1024, 4, 1);   // the L1 geometry
+    expectCacheMatchesWayMajor(1 << 20, 16, 2);    // the L2 geometry
+    expectCacheMatchesWayMajor(2 * 1 * kLineSize, 1, 3); // direct mapped
+    expectCacheMatchesWayMajor(3 * 3 * kLineSize, 3, 4); // 3 sets, odd
+    expectCacheMatchesWayMajor(8 * 5 * kLineSize, 5, 5); // set > 1 line
 }
 
 // ---------------------------------------------------------------------------

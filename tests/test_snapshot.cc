@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 #include <sstream>
 #include <string>
+#include <unistd.h>
 
 #include "check/invariants.hh"
 #include "common/atomic_file.hh"
@@ -40,10 +41,19 @@ namespace ladm
 namespace
 {
 
+/**
+ * @p name under the gtest temp dir, prefixed with the running test's
+ * name and this process's pid: ctest -j runs each case in its own
+ * process, all sharing one TempDir(), so fixed names would let
+ * concurrent cases overwrite each other's checkpoints and sinks.
+ */
 std::string
 tmpPath(const std::string &name)
 {
-    return ::testing::TempDir() + "/" + name;
+    const ::testing::TestInfo *t =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    return ::testing::TempDir() + "/" + (t ? t->name() : "none") + "." +
+           std::to_string(::getpid()) + "." + name;
 }
 
 std::string
