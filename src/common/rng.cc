@@ -1,7 +1,5 @@
 #include "common/rng.hh"
 
-#include <cmath>
-
 namespace ladm
 {
 
@@ -18,12 +16,6 @@ splitmix64(uint64_t &x)
     return z ^ (z >> 31);
 }
 
-uint64_t
-rotl(uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(uint64_t seed)
@@ -34,61 +26,29 @@ Rng::Rng(uint64_t seed)
 }
 
 uint64_t
-Rng::next()
-{
-    const uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const uint64_t t = state_[1] << 17;
-
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-
-    return result;
-}
-
-uint64_t
 Rng::nextBounded(uint64_t bound)
 {
-    if (bound <= 1)
-        return 0;
-    // Rejection sampling to avoid modulo bias.
-    const uint64_t threshold = -bound % bound;
-    for (;;) {
-        uint64_t r = next();
-        if (r >= threshold)
-            return r % bound;
-    }
-}
-
-double
-Rng::nextDouble()
-{
-    return (next() >> 11) * (1.0 / 9007199254740992.0); // 2^53
+    return UniformIndex(bound)(*this);
 }
 
 uint64_t
 Rng::nextZipf(uint64_t n, double alpha)
 {
-    if (n <= 1)
-        return 0;
-    if (alpha <= 0.0)
-        return nextBounded(n);
-    // Inverse-CDF approximation for a continuous bounded Pareto, quantized.
-    // Cheap (no per-domain tables) and adequately skewed for graph synthesis.
-    const double u = nextDouble();
+    return ZipfIndex(n, alpha)(*this);
+}
+
+ZipfIndex::ZipfIndex(uint64_t n, double alpha)
+    : n_(n), uniform_(alpha <= 0.0), flat_(false), hi_(0.0), invExp_(0.0),
+      uniformIdx_(uniform_ ? n : 0)
+{
+    if (n_ <= 1 || uniform_)
+        return;
     const double exponent = 1.0 - alpha;
-    double v;
-    if (std::abs(exponent) < 1e-9) {
-        v = std::pow(static_cast<double>(n), u);
-    } else {
-        const double hi = std::pow(static_cast<double>(n), exponent);
-        v = std::pow(u * (hi - 1.0) + 1.0, 1.0 / exponent);
+    flat_ = std::abs(exponent) < 1e-9;
+    if (!flat_) {
+        hi_ = std::pow(static_cast<double>(n), exponent);
+        invExp_ = 1.0 / exponent;
     }
-    uint64_t idx = static_cast<uint64_t>(v) - 1;
-    return idx >= n ? n - 1 : idx;
 }
 
 } // namespace ladm

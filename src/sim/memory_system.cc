@@ -18,9 +18,9 @@ MemorySystem::MemorySystem(const SystemConfig &cfg)
     : cfg_(cfg), pageTable_(cfg.pageSize),
       uvm_(cfg.pageFaultCycles,
            cfg.uvmFirstTouchInterleave ? cfg.numNodes() : 1),
-      net_(makeNetwork(cfg)),
       migration_(cfg.migrationThreshold, cfg.migrationLatencyCycles,
-                 cfg.pageSize)
+                 cfg.pageSize),
+      net_(makeNetwork(cfg))
 {
     cfg_.validate();
     chipletFaults_ = net_->faultPlan().anyChipletFaults();

@@ -15,6 +15,8 @@ const JsonValue kNullSentinel;
 
 struct Parser
 {
+    explicit Parser(const std::string &t) : text(t) {}
+
     const std::string &text;
     size_t pos = 0;
     std::string err;

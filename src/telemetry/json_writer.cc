@@ -190,6 +190,8 @@ namespace
 
 struct Parser
 {
+    explicit Parser(const std::string &text) : s(text) {}
+
     const std::string &s;
     size_t pos = 0;
     std::string err;
@@ -261,7 +263,6 @@ struct Parser
     bool
     number()
     {
-        const size_t start = pos;
         if (pos < s.size() && s[pos] == '-')
             ++pos;
         const size_t istart = pos;

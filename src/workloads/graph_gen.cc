@@ -1,16 +1,43 @@
 #include "workloads/graph_gen.hh"
 
+#include <limits>
+
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "common/sim_error.hh"
 
 namespace ladm
 {
+
+namespace
+{
+
+/** Checked before any allocation; vertex ids must fit CsrGraph::colIdx. */
+void
+requireGraphShape(int64_t vertices, int64_t avg_degree)
+{
+    ladm_assert(vertices > 0 && avg_degree > 0, "bad graph parameters");
+    ladm_require(vertices <= std::numeric_limits<int32_t>::max(),
+                 "graph of ", vertices,
+                 " vertices exceeds the int32 vertex-id range");
+}
+
+/** Fill colIdx with neighbours drawn uniformly from [0, vertices). */
+void
+drawNeighbours(CsrGraph &g, Rng &rng)
+{
+    const UniformIndex pick(static_cast<uint64_t>(g.numVertices));
+    for (auto &c : g.colIdx)
+        c = static_cast<int32_t>(pick(rng));
+}
+
+} // namespace
 
 CsrGraph
 makePowerLawGraph(int64_t vertices, int64_t avg_degree, double alpha,
                   uint64_t seed)
 {
-    ladm_assert(vertices > 0 && avg_degree > 0, "bad graph parameters");
+    requireGraphShape(vertices, avg_degree);
     Rng rng(seed);
     CsrGraph g;
     g.numVertices = vertices;
@@ -18,11 +45,11 @@ makePowerLawGraph(int64_t vertices, int64_t avg_degree, double alpha,
 
     // Draw degrees from a bounded Zipf and rescale to hit the target mean.
     std::vector<int32_t> deg(vertices);
-    const uint64_t max_deg =
-        static_cast<uint64_t>(avg_degree) * 16 + 1;
+    const ZipfIndex degree(static_cast<uint64_t>(avg_degree) * 16 + 1,
+                           alpha);
     uint64_t total = 0;
     for (int64_t v = 0; v < vertices; ++v) {
-        deg[v] = static_cast<int32_t>(rng.nextZipf(max_deg, alpha)) + 1;
+        deg[v] = static_cast<int32_t>(degree(rng)) + 1;
         total += deg[v];
     }
     const double ratio =
@@ -37,16 +64,14 @@ makePowerLawGraph(int64_t vertices, int64_t avg_degree, double alpha,
     }
 
     g.colIdx.resize(edges);
-    for (int64_t e = 0; e < edges; ++e)
-        g.colIdx[e] = static_cast<int64_t>(
-            rng.nextBounded(static_cast<uint64_t>(vertices)));
+    drawNeighbours(g, rng);
     return g;
 }
 
 CsrGraph
 makeUniformGraph(int64_t vertices, int64_t avg_degree, uint64_t seed)
 {
-    ladm_assert(vertices > 0 && avg_degree > 0, "bad graph parameters");
+    requireGraphShape(vertices, avg_degree);
     Rng rng(seed);
     CsrGraph g;
     g.numVertices = vertices;
@@ -54,9 +79,7 @@ makeUniformGraph(int64_t vertices, int64_t avg_degree, uint64_t seed)
     for (int64_t v = 0; v <= vertices; ++v)
         g.rowPtr[v] = v * avg_degree;
     g.colIdx.resize(vertices * avg_degree);
-    for (auto &c : g.colIdx)
-        c = static_cast<int64_t>(
-            rng.nextBounded(static_cast<uint64_t>(vertices)));
+    drawNeighbours(g, rng);
     return g;
 }
 

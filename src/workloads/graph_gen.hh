@@ -23,7 +23,10 @@ struct CsrGraph
 {
     int64_t numVertices = 0;
     std::vector<int64_t> rowPtr; ///< size numVertices + 1
-    std::vector<int64_t> colIdx; ///< size numEdges()
+    /** Size numEdges(). 32-bit vertex ids, like the modelled 4-byte
+     *  colidx array: both generators throw SimError, before allocating,
+     *  for more than INT32_MAX vertices. */
+    std::vector<int32_t> colIdx;
 
     int64_t numEdges() const { return rowPtr.empty() ? 0 : rowPtr.back(); }
     int64_t degree(int64_t v) const { return rowPtr[v + 1] - rowPtr[v]; }

@@ -172,7 +172,9 @@ class CsrWalkTrace : public TraceSource
                     prev_edge = edge_sec;
                 }
             }
-            batch_.push(out, valBase_ + g_.colIdx[e] * 4, writesVal_);
+            batch_.push(out,
+                        valBase_ + static_cast<Addr>(g_.colIdx[e]) * 4,
+                        writesVal_);
         }
         return any;
     }

@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <limits>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -218,6 +220,188 @@ TEST(GraphGen, DeterministicPerSeed)
     const auto b = makePowerLawGraph(1000, 8, 1.2, 9);
     EXPECT_EQ(a.rowPtr, b.rowPtr);
     EXPECT_EQ(a.colIdx, b.colIdx);
+}
+
+/** FNV-1a over the values widened to int64 (little-endian bytes). */
+template <typename V>
+uint64_t
+widenedDigest(const std::vector<V> &values)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (const V x : values) {
+        const uint64_t w = static_cast<uint64_t>(static_cast<int64_t>(x));
+        for (int b = 0; b < 8; ++b) {
+            h ^= (w >> (8 * b)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+    }
+    return h;
+}
+
+struct GraphGolden
+{
+    int64_t vertices;
+    int64_t avgDegree;
+    double alpha; ///< < 0: uniform generator
+    uint64_t seed;
+    int64_t edges;
+    uint64_t rowPtrDigest;
+    uint64_t colIdxDigest;
+};
+
+// Digests of graphs generated by the per-draw formulas (64-bit colIdx,
+// nextBounded/nextZipf recomputing their per-domain terms every draw).
+// Any change to a synthesized graph -- draw order, rejection threshold,
+// std::pow operands -- shows up here.
+constexpr GraphGolden kGraphGolden[] = {
+    {1000, 8, -1, 0xBF5BF5, 8000, 0x0b5222e2041dfb40ULL,
+     0xf9a79e38707a2a4eULL},
+    {12345, 8, -1, 0xBF5BF5, 98760, 0xbbb5175f7609d119ULL,
+     0xfbd2b3f0e6815c0cULL},
+    {16384, 8, -1, 0xBF5BF5, 131072, 0xb471e68e2fa8ae37ULL,
+     0x448762d95e85cd3fULL},
+    {1000, 8, 0.0, 0xACCE55, 7547, 0x9794995db31e0fb7ULL,
+     0xb64f39fb8cb5134cULL},
+    {1000, 8, 1.0, 0xACCE55, 7779, 0x3019da51e99e70e3ULL,
+     0xfc9f3d99abb27a19ULL},
+    {1000, 8, 0.8, 0xACCE55, 7749, 0x53b620909a5e1c0aULL,
+     0x01cb47333dbec2efULL},
+    {1000, 8, 1.2, 0xACCE55, 7811, 0x6292527a20ae06a7ULL,
+     0x0e983ee8f4fab093ULL},
+    {12345, 8, 0.0, 0xACCE55, 93322, 0x16b0d01a220d60f6ULL,
+     0x250782bee08e617fULL},
+    {12345, 8, 1.0, 0xACCE55, 96208, 0xc2277320e6f5a05bULL,
+     0xe6261e21cfc943a8ULL},
+    {12345, 8, 0.8, 0xACCE55, 95465, 0x5eb7f004cbffdabeULL,
+     0xaee8533ad8d2b073ULL},
+    {12345, 8, 1.2, 0xACCE55, 96149, 0xfb7a4fe1a81a0073ULL,
+     0x7ee768472612be81ULL},
+    {16384, 8, 0.0, 0xACCE55, 123899, 0x5e15202a538095ceULL,
+     0x67fb9408275b11efULL},
+    {16384, 8, 1.0, 0xACCE55, 127687, 0x241e880061801a97ULL,
+     0xb33cadfa2f32c0a3ULL},
+    {16384, 8, 0.8, 0xACCE55, 126761, 0x3e6f0c78ebb80ea3ULL,
+     0x8203d22cacb5737dULL},
+    {16384, 8, 1.2, 0xACCE55, 127736, 0xdf8c9d5578f528a1ULL,
+     0x337878997c2c550dULL},
+    // The full-scale (scale 1.0) inputs of PageRank, BFS-relax, SSSP and
+    // SpMV-jds (workloads/irregular_workloads.cc).
+    {256 * 1024, 8, 1.2, 0xACCE55, 2041361, 0x0d91c855d5c720baULL,
+     0x1f5aa3aadfb94039ULL},
+    {512 * 1024, 8, -1, 0xBF5BF5, 4194304, 0xbd5ac5b27f6e6f85ULL,
+     0x8947fb10939dbe8eULL},
+    {256 * 1024, 16, 1.1, 0x555B, 4124976, 0x6a356329c2cceb9bULL,
+     0x45dc1d1468d1b3b1ULL},
+    {128 * 1024, 16, 0.8, 0x5B3D, 2057327, 0xdec43fb431860bbbULL,
+     0x624dfe8b868a618aULL},
+};
+
+TEST(GraphGen, GoldenDigestsMatchPerDrawFormulas)
+{
+    for (const GraphGolden &c : kGraphGolden) {
+        SCOPED_TRACE(testing::Message()
+                     << "vertices=" << c.vertices << " alpha=" << c.alpha);
+        const CsrGraph g =
+            c.alpha < 0
+                ? makeUniformGraph(c.vertices, c.avgDegree, c.seed)
+                : makePowerLawGraph(c.vertices, c.avgDegree, c.alpha,
+                                    c.seed);
+        EXPECT_EQ(g.numEdges(), c.edges);
+        EXPECT_EQ(widenedDigest(g.rowPtr), c.rowPtrDigest);
+        EXPECT_EQ(widenedDigest(g.colIdx), c.colIdxDigest);
+    }
+}
+
+TEST(GraphGen, RefusesVertexIdsBeyondInt32BeforeAllocating)
+{
+    // 2^31 vertices is the first count whose ids do not fit colIdx. At
+    // 2^61 the rowPtr allocation alone would throw std::length_error, so
+    // a SimError proves the guard runs before anything is allocated.
+    const int64_t first_bad =
+        static_cast<int64_t>(std::numeric_limits<int32_t>::max()) + 1;
+    for (const int64_t v : {first_bad, int64_t{1} << 61}) {
+        EXPECT_THROW(makeUniformGraph(v, 8, 1), SimError);
+        EXPECT_THROW(makePowerLawGraph(v, 8, 1.2, 1), SimError);
+    }
+}
+
+/** Rng::nextBounded before the rejection threshold was hoisted. */
+uint64_t
+perDrawBounded(Rng &rng, uint64_t bound)
+{
+    if (bound <= 1)
+        return 0;
+    const uint64_t threshold = -bound % bound;
+    for (;;) {
+        uint64_t r = rng.next();
+        if (r >= threshold)
+            return r % bound;
+    }
+}
+
+/** Rng::nextZipf before n^(1-alpha) and 1/(1-alpha) were hoisted. */
+uint64_t
+perDrawZipf(Rng &rng, uint64_t n, double alpha)
+{
+    if (n <= 1)
+        return 0;
+    if (alpha <= 0.0)
+        return perDrawBounded(rng, n);
+    const double u = rng.nextDouble();
+    const double exponent = 1.0 - alpha;
+    double v;
+    if (std::abs(exponent) < 1e-9) {
+        v = std::pow(static_cast<double>(n), u);
+    } else {
+        const double hi = std::pow(static_cast<double>(n), exponent);
+        v = std::pow(u * (hi - 1.0) + 1.0, 1.0 / exponent);
+    }
+    uint64_t idx = static_cast<uint64_t>(v) - 1;
+    return idx >= n ? n - 1 : idx;
+}
+
+constexpr uint64_t kDrawBounds[] = {
+    0, 1, 2, 3, 1000, uint64_t{1} << 18, uint64_t{1} << 19,
+    (uint64_t{1} << 63) + 1};
+
+TEST(Rng, UniformIndexMatchesPerDrawFormulaDrawForDraw)
+{
+    for (const uint64_t bound : kDrawBounds) {
+        SCOPED_TRACE(testing::Message() << "bound=" << bound);
+        Rng ref(bound ^ 0x5eed), hoisted(bound ^ 0x5eed),
+            wrapped(bound ^ 0x5eed);
+        const UniformIndex pick(bound);
+        for (int i = 0; i < 20000; ++i) {
+            const uint64_t want = perDrawBounded(ref, bound);
+            ASSERT_EQ(pick(hoisted), want) << "draw " << i;
+            ASSERT_EQ(wrapped.nextBounded(bound), want) << "draw " << i;
+        }
+        // The streams consumed the same raw values.
+        const uint64_t tail = ref.next();
+        EXPECT_EQ(hoisted.next(), tail);
+        EXPECT_EQ(wrapped.next(), tail);
+    }
+}
+
+TEST(Rng, ZipfIndexMatchesPerDrawFormulaDrawForDraw)
+{
+    for (const uint64_t n : kDrawBounds) {
+        for (const double alpha : {-1.0, 0.0, 0.8, 1.0, 1.1, 1.2, 1.5}) {
+            SCOPED_TRACE(testing::Message()
+                         << "n=" << n << " alpha=" << alpha);
+            Rng ref(n + 7), hoisted(n + 7), wrapped(n + 7);
+            const ZipfIndex pick(n, alpha);
+            for (int i = 0; i < 5000; ++i) {
+                const uint64_t want = perDrawZipf(ref, n, alpha);
+                ASSERT_EQ(pick(hoisted), want) << "draw " << i;
+                ASSERT_EQ(wrapped.nextZipf(n, alpha), want)
+                    << "draw " << i;
+            }
+            const uint64_t tail = ref.next();
+            EXPECT_EQ(hoisted.next(), tail);
+            EXPECT_EQ(wrapped.next(), tail);
+        }
+    }
 }
 
 TEST(Metrics, CsvRowMatchesHeaderArity)
