@@ -176,6 +176,8 @@ Reader::raw(void *p, size_t n)
 {
     if (cur_ + n > end_)
         corrupt("read past end of section");
+    if (n == 0)
+        return; // an empty vector's data() may be null
     std::memcpy(p, image_.data() + cur_, n);
     cur_ += n;
 }

@@ -25,10 +25,11 @@
  * behavior-relevant: simultaneous accesses book bandwidth servers in pop
  * order, so per-warp delays -- and therefore whole-run metrics -- shift
  * with it (measured on fig09: several workloads move by a few percent
- * under a different tie-break). The heap is the default so results stay
- * bit-reproducible against the repo's recorded baselines; the calendar
- * mode is for throughput experiments that accept a different (equally
- * valid) simultaneity order. See docs/performance.md.
+ * under a different tie-break). The serial engine lane uses the heap so
+ * results stay bit-reproducible against the repo's recorded baselines;
+ * the sharded PDES lanes use the calendar, whose per-node queues are
+ * dense and whose FIFO order survives their re-held insertions. See
+ * docs/performance.md.
  */
 
 #ifndef LADM_SIM_EVENT_QUEUE_HH

@@ -17,8 +17,19 @@
 namespace ladm
 {
 
-using engine_detail::SmState;
+using engine_detail::Lane;
 using engine_detail::WarpState;
+
+namespace
+{
+
+const char *
+loopName(bool sharded)
+{
+    return sharded ? "sharded PDES" : "serial";
+}
+
+} // namespace
 
 const char *
 toString(KernelEngine::PdesFallback fb)
@@ -236,25 +247,7 @@ KernelEngine::run(const LaunchDims &dims, TraceSource &trace,
         }
     }
 
-    KernelRunStats stats;
-    stats.startCycle = start;
-    stats.endCycle = start;
-    stats.tbCount = dims.numTbs();
-
-    // Per-node dispatch cursor and per-TB remaining-warp counts.
-    std::vector<size_t> cursor(num_nodes, 0);
     std::vector<int> tb_warps_left(dims.numTbs(), 0);
-
-    std::vector<SmState> sms(cfg_.totalSms());
-    for (auto &s : sms)
-        s.freeWarpSlots = cfg_.warpSlotsPerSm;
-
-    std::vector<WarpState> warps;
-    std::vector<uint32_t> free_warps;
-    EventQueue pq(cfg_.engineCalendarQueue ? EventQueue::Mode::Calendar
-                                           : EventQueue::Mode::Heap,
-                  std::max<Cycles>(cfg_.computeGapCycles, 1));
-
     auto &tr = telemetry::tracer();
     const bool tracing = tr.enabled();
     // TB dispatch cycles, kept only while tracing (retire closes the span).
@@ -265,122 +258,28 @@ KernelEngine::run(const LaunchDims &dims, TraceSource &trace,
     // interval worth showing on the timeline.
     const Cycles stall_floor = cfg_.computeGapCycles + 32;
 
-    auto admit = [&](SmId sm, Cycles now) {
-        const NodeId node = smNode_[sm];
-        auto &q = node_queues[node];
-        SmState &st = sms[sm];
-        while (st.residentTbs < cfg_.maxResidentTbsPerSm &&
-               st.freeWarpSlots >= warps_per_tb && cursor[node] < q.size()) {
-            const TbId tb = q[cursor[node]++];
-            if (tracing)
-                tb_start[tb] = now;
-            ++st.residentTbs;
-            st.freeWarpSlots -= warps_per_tb;
-            tb_warps_left[tb] = warps_per_tb;
-            for (int w = 0; w < warps_per_tb; ++w) {
-                uint32_t slot;
-                if (!free_warps.empty()) {
-                    slot = free_warps.back();
-                    free_warps.pop_back();
-                } else {
-                    slot = static_cast<uint32_t>(warps.size());
-                    warps.emplace_back();
-                }
-                warps[slot] = WarpState{tb, w, sm, 0, {}};
-                pq.push(now, slot);
-            }
-        }
-    };
-
-    const int depth = std::clamp(cfg_.warpPipelineDepth, 1, 4);
+    // One heap-mode lane over every node: the heap's tie order depends
+    // only on the (time, warp) push sequence, which a single all-node
+    // lane with one warp pool reproduces exactly.
+    Lane ln({cfg_, dims, node_queues, smNode_, tb_warps_left,
+             tracing ? tb_start.data() : nullptr},
+            0, num_nodes, EventQueue::Mode::Heap, start, stepLatencyHist_);
+    const std::vector<Lane *> lanes{&ln};
 
     std::vector<MemAccess> buf;
     /** Last processed event's cycle: the current safe-point time. */
     Cycles cur = start;
 
-    // Checkpoint image of every loop local, written at a safe point
-    // (top of the loop, before the pop: the queue is consistent and no
-    // access is in flight). Restore reproduces these verbatim -- the
-    // queue's internal layout in particular, since equal-time pop order
-    // is behavior-relevant.
-    auto save_serial = [&](serial::Writer &w) {
-        w.u8(0); // loop kind: serial
-        saveCumulative(w);
-        w.u64(cur);
-        w.u64(stats.startCycle);
-        w.u64(stats.endCycle);
-        w.u64(stats.warpSteps);
-        w.u64(stats.sectorAccesses);
-        w.u64(stats.totalStepLatency);
-        w.u64(stats.maxStepLatency);
-        w.vec(cursor);
-        w.vec(tb_warps_left);
-        w.u64(sms.size());
-        for (const SmState &s : sms) {
-            w.u32(static_cast<uint32_t>(s.residentTbs));
-            w.u32(static_cast<uint32_t>(s.freeWarpSlots));
-        }
-        w.u64(warps.size());
-        for (const WarpState &ws : warps) {
-            w.i64(ws.tb);
-            w.u32(static_cast<uint32_t>(ws.warpInTb));
-            w.u32(static_cast<uint32_t>(ws.sm));
-            w.i64(ws.step);
-            for (const Cycles d : ws.doneRing)
-                w.u64(d);
-        }
-        w.vec(free_warps);
-        pq.saveState(w);
+    // Checkpoint image, written at a safe point (top of the loop, before
+    // the pop: the queue is consistent and no access is in flight).
+    auto save = [&](serial::Writer &w) {
+        saveLoop(w, /*sharded=*/false, cur, tb_warps_left, lanes);
     };
 
-    if (resume) {
-        ladm_require(ckpt_ && ckpt_->restorePending(),
-                     "engine resume requested with no restore armed");
-        serial::Reader &r = ckpt_->reader();
-        r.openSection(snapshot::kEngine);
-        if (r.u8() != 0) {
-            throw SimError(
-                SimError::Kind::Config, "checkpoint state mismatch",
-                {{"checkpoint.engine", "sharded",
-                  "the checkpoint was written by the sharded PDES loop "
-                  "but this run resolves to the serial loop",
-                  "resume with the same --shards / --check / tracing "
-                  "setup that produced the checkpoint"}});
-        }
-        loadCumulative(r);
-        cur = r.u64();
-        stats.startCycle = r.u64();
-        stats.endCycle = r.u64();
-        stats.warpSteps = r.u64();
-        stats.sectorAccesses = r.u64();
-        stats.totalStepLatency = r.u64();
-        stats.maxStepLatency = r.u64();
-        r.vec(cursor);
-        r.vec(tb_warps_left);
-        const uint64_t num_sms = r.u64();
-        ladm_require(num_sms == sms.size(),
-                     "checkpoint SM count mismatch");
-        for (SmState &s : sms) {
-            s.residentTbs = static_cast<int>(r.u32());
-            s.freeWarpSlots = static_cast<int>(r.u32());
-        }
-        warps.resize(r.u64());
-        for (WarpState &ws : warps) {
-            ws.tb = r.i64();
-            ws.warpInTb = static_cast<int>(r.u32());
-            ws.sm = static_cast<SmId>(r.u32());
-            ws.step = r.i64();
-            for (Cycles &d : ws.doneRing)
-                d = r.u64();
-        }
-        r.vec(free_warps);
-        pq.loadState(r);
-        ckpt_->finishRestore();
-        ckpt_->noteResumed(cur);
-    } else {
-        for (SmId sm = 0; sm < cfg_.totalSms(); ++sm)
-            admit(sm, start);
-    }
+    if (resume)
+        cur = loadLoop(/*sharded=*/false, tb_warps_left, lanes);
+    else
+        ln.admitAll(start);
 
     // No-progress watchdog (opt-in): a healthy kernel advances simulated
     // time within a bounded number of events (every warp's next wake-up
@@ -391,17 +290,17 @@ KernelEngine::run(const LaunchDims &dims, TraceSource &trace,
     Cycles watchdog_time = cur;
     uint64_t watchdog_stuck = 0;
 
-    while (!pq.empty()) {
+    while (!ln.pq.empty()) {
         // Safe point: between two events the queue is consistent and no
         // access is in flight. One untaken null check when
         // checkpointing is off.
         if (ckpt_ && ckpt_->pending(cur)) {
-            if (ckpt_->capture(cur, save_serial))
+            if (ckpt_->capture(cur, save))
                 throw snapshot::Interrupted(ckpt_->outPath(), cur);
         }
-        const WarpEvent ev = pq.pop();
+        const WarpEvent ev = ln.pq.pop();
         cur = ev.time;
-        WarpState &w = warps[ev.warp];
+        const WarpState &w = ln.warps[ev.warp];
 
         // Timeline sampling: event times are globally monotone, so one
         // compare per event is enough to hit every window boundary.
@@ -415,15 +314,15 @@ KernelEngine::run(const LaunchDims &dims, TraceSource &trace,
             } else if (++watchdog_stuck > watchdog_limit) {
                 size_t dispatched = 0, queued = 0;
                 for (int n = 0; n < num_nodes; ++n) {
-                    dispatched += cursor[n];
+                    dispatched += ln.cursor[n];
                     queued += node_queues[n].size();
                 }
                 if (ckpt_) {
                     // Re-file the popped event so the dumped image is a
                     // consistent safe point, then leave a replayable
                     // post-mortem checkpoint beside the telemetry dump.
-                    pq.push(ev.time, ev.warp);
-                    ckpt_->postMortem(cur, save_serial);
+                    ln.pq.push(ev.time, ev.warp);
+                    ckpt_->postMortem(cur, save);
                 }
                 throw InvariantViolation(
                     "engine made no progress for " +
@@ -434,7 +333,8 @@ KernelEngine::run(const LaunchDims &dims, TraceSource &trace,
                       "raise LADM_CHECK_WATCHDOG if the kernel is "
                       "legitimately this dense"},
                      {"engine.live_warps",
-                      std::to_string(warps.size() - free_warps.size()),
+                      std::to_string(ln.warps.size() -
+                                     ln.freeWarps.size()),
                       "warps still in flight at the stuck cycle",
                       "check the trace source's retire condition"},
                      {"engine.tbs_dispatched",
@@ -448,25 +348,14 @@ KernelEngine::run(const LaunchDims &dims, TraceSource &trace,
 
         buf.clear();
         if (!trace.warpStep(w.tb, w.warpInTb, w.step, buf)) {
-            // Warp retired; pipelined steps may still be outstanding, so
-            // the warp is done only when the newest completion lands.
-            Cycles fin = ev.time;
-            for (const Cycles d : w.doneRing)
-                fin = std::max(fin, d);
-            SmState &st = sms[w.sm];
-            ++st.freeWarpSlots;
-            free_warps.push_back(ev.warp);
-            if (--tb_warps_left[w.tb] == 0) {
-                --st.residentTbs;
-                if (tracing) {
-                    const NodeId node = smNode_[w.sm];
-                    tr.complete("tb", "tb" + std::to_string(w.tb),
-                                telemetry::kPidNodeBase + node, w.sm,
-                                tb_start[w.tb], fin);
-                }
-                admit(w.sm, fin);
+            const TbId tb = w.tb;
+            const SmId sm = w.sm;
+            const Cycles fin = ln.retire(ev.warp, ev.time);
+            if (tracing && tb_warps_left[tb] == 0) {
+                tr.complete("tb", "tb" + std::to_string(tb),
+                            telemetry::kPidNodeBase + smNode_[sm], sm,
+                            tb_start[tb], fin);
             }
-            stats.endCycle = std::max(stats.endCycle, fin);
             continue;
         }
 
@@ -474,40 +363,21 @@ KernelEngine::run(const LaunchDims &dims, TraceSource &trace,
         for (const auto &a : buf)
             done = std::max(done, mem_.access(ev.time, w.sm, a.addr,
                                               a.write));
-        const Cycles step_latency = done - ev.time;
-        stats.totalStepLatency += step_latency;
-        stats.maxStepLatency = std::max(stats.maxStepLatency,
-                                        step_latency);
-        stats.sectorAccesses += buf.size();
-        ++stats.warpSteps;
+        if (tracing && done - ev.time >= stall_floor && tr.sampleTick()) {
+            tr.complete("stall", "warp_stall",
+                        telemetry::kPidNodeBase + smNode_[w.sm], w.sm,
+                        ev.time, done,
+                        "{\"cycles\":" + std::to_string(done - ev.time) +
+                            "}");
+        }
+        ln.noteIssue(buf.size());
+        ln.completeStep(ev.warp, ev.time, done);
         // The cumulative gauges advance per step, not per kernel, so a
         // mid-kernel timeline window sees live progress instead of a
         // stale end-of-last-kernel total.
         sectorAccessesTotal_ += buf.size();
         ++warpStepsTotal_;
-        if (stepLatencyHist_)
-            stepLatencyHist_->sample(step_latency);
-        if (tracing && step_latency >= stall_floor && tr.sampleTick()) {
-            tr.complete("stall", "warp_stall",
-                        telemetry::kPidNodeBase + smNode_[w.sm],
-                        w.sm, ev.time, done,
-                        "{\"cycles\":" + std::to_string(step_latency) +
-                            "}");
-        }
-        // A warp may run `depth` loop iterations ahead of the oldest
-        // outstanding one: the next step issues once the step `depth`
-        // iterations back has completed (scoreboard dependence), but no
-        // earlier than the compute gap after this issue.
-        w.doneRing[w.step % depth] = done;
-        const Cycles dep = w.doneRing[(w.step + 1) % depth];
-        ++w.step;
-        const Cycles next = std::max(ev.time + cfg_.computeGapCycles,
-                                     dep + cfg_.computeGapCycles);
-        pq.push(next, ev.warp);
     }
-
-    stats.warpInstrs =
-        static_cast<double>(stats.warpSteps) * trace.instrsPerStep();
 
     if (check_on) {
         // Dispatch conservation at drain: every queue fully consumed and
@@ -515,10 +385,10 @@ KernelEngine::run(const LaunchDims &dims, TraceSource &trace,
         // a resident-limit accounting bug, not a workload property.
         std::vector<Diagnostic> diags;
         for (int n = 0; n < num_nodes; ++n) {
-            if (cursor[n] != node_queues[n].size()) {
+            if (ln.cursor[n] != node_queues[n].size()) {
                 diags.push_back(
                     {"node" + std::to_string(n) + ".queue",
-                     std::to_string(cursor[n]) + " of " +
+                     std::to_string(ln.cursor[n]) + " of " +
                          std::to_string(node_queues[n].size()) +
                          " dispatched",
                      "TB queue not drained at kernel end",
@@ -540,17 +410,49 @@ KernelEngine::run(const LaunchDims &dims, TraceSource &trace,
                 "threadblocks",
                 std::move(diags));
         }
-        mem_.checkDrained(stats.endCycle);
+        mem_.checkDrained(ln.endCycle);
     }
 
+    return finishRun(dims, trace, start, lanes);
+}
+
+KernelRunStats
+KernelEngine::finishRun(const LaunchDims &dims, const TraceSource &trace,
+                        Cycles start, const std::vector<Lane *> &lanes)
+{
+    KernelRunStats stats;
+    stats.startCycle = start;
+    stats.endCycle = start;
+    stats.tbCount = dims.numTbs();
+    for (const Lane *ln : lanes) {
+        stats.warpSteps += ln->warpSteps;
+        stats.sectorAccesses += ln->sectorAccesses;
+        stats.totalStepLatency += ln->totalStepLatency;
+        stats.maxStepLatency =
+            std::max(stats.maxStepLatency, ln->maxStepLatency);
+        stats.endCycle = std::max(stats.endCycle, ln->endCycle);
+        // A lane that sampled privately folds in now (sums are
+        // order-independent); the serial lane sampled live.
+        if (stepLatencyHist_ && ln->hist == &ln->ownHist)
+            stepLatencyHist_->merge(ln->ownHist);
+    }
+    stats.warpInstrs =
+        static_cast<double>(stats.warpSteps) * trace.instrsPerStep();
     ++kernelsRun_;
     tbsDispatchedTotal_ += static_cast<uint64_t>(stats.tbCount);
     return stats;
 }
 
+// kEngine section: loop kind, cumulative counters, the safe-point time,
+// the per-TB warp counts, then every lane. Restore reproduces it
+// verbatim -- the queues' internal layout in particular, since
+// equal-time pop order is behavior-relevant.
 void
-KernelEngine::saveCumulative(serial::Writer &w) const
+KernelEngine::saveLoop(serial::Writer &w, bool sharded, Cycles at,
+                       const std::vector<int> &tb_warps_left,
+                       const std::vector<Lane *> &lanes) const
 {
+    w.u8(sharded ? 1 : 0);
     w.u64(kernelsRun_);
     w.u64(warpStepsTotal_);
     w.u64(sectorAccessesTotal_);
@@ -562,11 +464,32 @@ KernelEngine::saveCumulative(serial::Writer &w) const
     // but inherently not comparable across interrupted/uninterrupted
     // runs (docs/robustness.md).
     w.vec(pdesBarrierNs_);
+    w.u64(at);
+    w.vec(tb_warps_left);
+    w.u64(lanes.size());
+    for (const Lane *ln : lanes)
+        ln->save(w);
 }
 
-void
-KernelEngine::loadCumulative(serial::Reader &r)
+Cycles
+KernelEngine::loadLoop(bool sharded, std::vector<int> &tb_warps_left,
+                       const std::vector<Lane *> &lanes)
 {
+    ladm_require(ckpt_ && ckpt_->restorePending(),
+                 "engine resume requested with no restore armed");
+    serial::Reader &r = ckpt_->reader();
+    r.openSection(snapshot::kEngine);
+    const bool found = r.u8() != 0;
+    if (found != sharded) {
+        throw SimError(
+            SimError::Kind::Config, "checkpoint state mismatch",
+            {{"checkpoint.engine", loopName(found),
+              std::string("the checkpoint was written by the ") +
+                  loopName(found) + " loop but this run resolves to the " +
+                  loopName(sharded) + " loop",
+              "resume with the same --shards / --check / tracing "
+              "setup that produced the checkpoint"}});
+    }
     kernelsRun_ = r.u64();
     warpStepsTotal_ = r.u64();
     sectorAccessesTotal_ = r.u64();
@@ -578,6 +501,94 @@ KernelEngine::loadCumulative(serial::Reader &r)
     // The barrier gauges index by original shard count; never let a
     // (fingerprint-colliding) image change the vector's length.
     pdesBarrierNs_.resize(static_cast<size_t>(maxShards_), 0);
+    const Cycles at = r.u64();
+    r.vec(tb_warps_left);
+    ladm_require(r.u64() == lanes.size(),
+                 "checkpoint lane count mismatch");
+    for (Lane *ln : lanes)
+        ln->load(r);
+    ckpt_->finishRestore();
+    ckpt_->noteResumed(at);
+    return at;
 }
+
+namespace engine_detail
+{
+
+LaneSpec::LaneSpec(const SystemConfig &cfg, const LaunchDims &dims,
+                   const std::vector<std::vector<TbId>> &node_queues,
+                   const std::vector<NodeId> &sm_node,
+                   std::vector<int> &tb_warps_left, Cycles *tb_start)
+    : nodeQueues(&node_queues), smNode(sm_node.data()),
+      numSms(cfg.totalSms()), tbWarpsLeft(tb_warps_left.data()),
+      tbStart(tb_start),
+      warpsPerTb(
+          static_cast<int>(ceilDiv(dims.threadsPerTb(), cfg.warpSize))),
+      maxResidentTbs(cfg.maxResidentTbsPerSm),
+      warpSlotsPerSm(cfg.warpSlotsPerSm),
+      depth(std::clamp(cfg.warpPipelineDepth, 1, 4)),
+      gap(cfg.computeGapCycles)
+{
+}
+
+Lane::Lane(const LaneSpec &spec_in, NodeId node_lo, NodeId node_hi,
+           EventQueue::Mode mode, Cycles start, Histogram *live_hist)
+    : spec(spec_in), nodeLo(node_lo),
+      cursor(static_cast<size_t>(node_hi - node_lo), 0),
+      pq(mode, std::max<Cycles>(spec_in.gap, 1)), endCycle(start),
+      ownHist(8, 32), hist(live_hist ? live_hist : &ownHist)
+{
+    // SM ids are numbered node-major (SystemConfig::nodeOfSm).
+    const NodeId *first = spec.smNode, *last = first + spec.numSms;
+    smLo = static_cast<SmId>(std::lower_bound(first, last, node_lo) - first);
+    const auto hi = std::lower_bound(first, last, node_hi) - first;
+    sms.assign(static_cast<size_t>(hi - smLo),
+               SmState{0, spec.warpSlotsPerSm});
+}
+
+void
+Lane::save(serial::Writer &w) const
+{
+    w.vec(cursor);
+    w.vec(sms);
+    w.u8(hasHeld ? 1 : 0);
+    w.u64(held.time);
+    w.u32(held.warp);
+    w.vec(warps);
+    w.vec(freeWarps);
+    w.u64(warpSteps);
+    w.u64(sectorAccesses);
+    w.u64(totalStepLatency);
+    w.u64(maxStepLatency);
+    w.u64(endCycle);
+    w.u64(lateEvents);
+    ownHist.saveState(w);
+    pq.saveState(w);
+}
+
+void
+Lane::load(serial::Reader &r)
+{
+    const size_t nodes = cursor.size(), num_sms = sms.size();
+    r.vec(cursor);
+    r.vec(sms);
+    ladm_require(cursor.size() == nodes && sms.size() == num_sms,
+                 "checkpoint lane geometry mismatch");
+    hasHeld = r.u8() != 0;
+    held.time = r.u64();
+    held.warp = r.u32();
+    r.vec(warps);
+    r.vec(freeWarps);
+    warpSteps = r.u64();
+    sectorAccesses = r.u64();
+    totalStepLatency = r.u64();
+    maxStepLatency = r.u64();
+    endCycle = r.u64();
+    lateEvents = r.u64();
+    ownHist.loadState(r);
+    pq.loadState(r);
+}
+
+} // namespace engine_detail
 
 } // namespace ladm

@@ -7,8 +7,10 @@
  * warp slots and resident-TB limits per SM, dynamic TB dispatch within a
  * node (an SM pulls the next block from its node's queue as soon as one
  * retires), and memory timing from MemorySystem. The only events are warp
- * wake-ups, kept in a min-heap so shared bandwidth servers observe
- * requests in global time order.
+ * wake-ups. One lane state machine (sim/engine_internal.hh) owns warps,
+ * TB dispatch and step completion; the serial loop drives a single
+ * min-heap lane so shared bandwidth servers observe requests in global
+ * time order, and the sharded PDES loop drives one lane per node.
  */
 
 #ifndef LADM_SIM_KERNEL_ENGINE_HH
@@ -43,6 +45,10 @@ namespace snapshot
 {
 class Checkpointer;
 }
+namespace engine_detail
+{
+struct Lane;
+} // namespace engine_detail
 
 /** Outcome of one kernel execution. */
 struct KernelRunStats
@@ -158,9 +164,23 @@ class KernelEngine
         const std::vector<std::vector<TbId>> &node_queues, Cycles start,
         bool resume);
 
-    /** Cumulative counters shared by both loops (kEngine section). */
-    void saveCumulative(serial::Writer &w) const;
-    void loadCumulative(serial::Reader &r);
+    /**
+     * The kEngine checkpoint image, one writer and one reader for both
+     * loops: which loop wrote it, cumulative counters, the safe-point
+     * time @p at, per-TB warp counts and every lane. loadLoop() refuses
+     * an image from the other loop and returns the safe-point time.
+     */
+    void saveLoop(serial::Writer &w, bool sharded, Cycles at,
+                  const std::vector<int> &tb_warps_left,
+                  const std::vector<engine_detail::Lane *> &lanes) const;
+    Cycles loadLoop(bool sharded, std::vector<int> &tb_warps_left,
+                    const std::vector<engine_detail::Lane *> &lanes);
+
+    /** Fold the lanes into the launch's stats and count the kernel. */
+    KernelRunStats
+    finishRun(const LaunchDims &dims, const TraceSource &trace,
+              Cycles start,
+              const std::vector<engine_detail::Lane *> &lanes);
 
     const SystemConfig &cfg_;
     MemorySystem &mem_;

@@ -15,6 +15,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <gtest/gtest.h>
 #include <sstream>
@@ -250,6 +251,28 @@ TEST_F(SnapshotTest, SerialRoundTrip)
     EXPECT_EQ(v2, v);
 }
 
+TEST_F(SnapshotTest, EmptyVecAndStrRoundTrip)
+{
+    // An empty vector reads back through a zero-length copy into a
+    // null data() pointer; that copy must not happen at all.
+    serial::Writer w;
+    w.beginSection(3);
+    w.vec(std::vector<int>{});
+    w.str("");
+    w.vec(std::vector<uint32_t>{7});
+    w.endSection();
+
+    serial::Reader r(w.finish(1));
+    r.openSection(3);
+    std::vector<int> empty; // data() == nullptr
+    r.vec(empty);
+    EXPECT_TRUE(empty.empty());
+    EXPECT_EQ(r.str(), "");
+    std::vector<uint32_t> one;
+    r.vec(one);
+    EXPECT_EQ(one, std::vector<uint32_t>{7});
+}
+
 TEST_F(SnapshotTest, ReaderRejectsCorruptedSection)
 {
     serial::Writer w;
@@ -298,6 +321,63 @@ TEST_F(SnapshotTest, FingerprintMismatchRefused)
     other.l2SizePerChiplet *= 2;
     auto w = workloads::makeWorkload("VecAdd", 0.2);
     EXPECT_THROW(runExperiment(*w, Policy::Ladm, other), SimError);
+}
+
+TEST_F(SnapshotTest, CheckpointFromOtherLoopRefused)
+{
+    // The fingerprint pins the shard count, so the reachable way to
+    // meet a checkpoint from the other loop is a sharded image resumed
+    // with the invariant suite armed: the suite forces the serial loop.
+    const std::string ckpt = tmpPath("sharded.ckpt");
+    {
+        check::ScopedEnable off(false);
+        snapshot::options().out = ckpt;
+        snapshot::options().testStopAt = 1000;
+        EXPECT_THROW(runOnce("PageRank", 4, 0.1), snapshot::Interrupted);
+    }
+
+    snapshot::resetForTest();
+    snapshot::options().resume = ckpt;
+    check::ScopedEnable on;
+    try {
+        runOnce("PageRank", 4, 0.1);
+        FAIL() << "a sharded checkpoint resumed on the serial loop";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.kind(), SimError::Kind::Config);
+        EXPECT_EQ(e.summary(), "checkpoint state mismatch");
+        ASSERT_FALSE(e.diagnostics().empty());
+        EXPECT_EQ(e.diagnostics()[0].field, "checkpoint.engine");
+        EXPECT_EQ(e.diagnostics()[0].value, "sharded PDES");
+    }
+}
+
+TEST_F(SnapshotTest, OldFormatVersionRefused)
+{
+    const std::string ckpt = tmpPath("old.ckpt");
+    snapshot::options().out = ckpt;
+    snapshot::options().testStopAt = 2; // VecAdd events all sit early
+    EXPECT_THROW(runOnce("VecAdd", 1, 0.2), snapshot::Interrupted);
+
+    // Stamp the header with the previous format version (the u32 after
+    // the 8-byte magic): its kEngine layout predates the shared lane.
+    std::string image = slurp(ckpt);
+    ASSERT_GT(image.size(), 12u);
+    const uint32_t old_version = serial::kFormatVersion - 1;
+    std::memcpy(&image[8], &old_version, sizeof old_version);
+    {
+        std::ofstream out(ckpt, std::ios::binary | std::ios::trunc);
+        out << image;
+    }
+
+    snapshot::resetForTest();
+    snapshot::options().resume = ckpt;
+    try {
+        runOnce("VecAdd", 1, 0.2);
+        FAIL() << "an old-format checkpoint was accepted";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.kind(), SimError::Kind::Config);
+        EXPECT_EQ(e.summary(), "corrupt or incompatible checkpoint");
+    }
 }
 
 TEST_F(SnapshotTest, RequireCheckpointableRefusesTracing)
