@@ -65,7 +65,6 @@ class Link
         }
     }
 
-    void reset() { server_.reset(); }
     /** Clear byte/busy counters, keeping the server's timing state. */
     void resetStats() { server_.resetStats(); }
     /** Fixed traversal latency of this link. */

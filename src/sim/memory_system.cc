@@ -217,14 +217,8 @@ MemorySystem::access(Cycles now, SmId sm, Addr addr, bool write)
         }
     }
 
-    // Requester-side L2: the dynamic shared L2 [51] caches whatever its
-    // own SMs touch; without remote caching it only holds local-homed
-    // lines (memory-side L2).
-    const bool req_alloc = cfg_.remoteCachingL2 || home == node;
     EvictInfo ev;
-    const AccessResult r2 = l2_[node].access(addr, write, req_alloc, &ev);
-    if (r2 == AccessResult::Hit) {
-        countClass(node, home, node, true);
+    if (requesterL2Hit(node, home, addr, write, ev)) {
         if (obsLat_) {
             obsL2Hit(node, home, obs_xbar, fault_stall,
                      delay + fault_stall + cfg_.l2LatencyCycles);
@@ -233,7 +227,6 @@ MemorySystem::access(Cycles now, SmId sm, Addr addr, bool write)
     }
 
     delay += fault_stall + cfg_.l2LatencyCycles;
-    countClass(node, home, node, false);
     handleEviction(now, node, ev);
 
     // Latency-attribution component accumulators: plain locals on the
@@ -261,52 +254,19 @@ MemorySystem::access(Cycles now, SmId sm, Addr addr, bool write)
         obsHeat_->recordFetch(node, home, addr);
 
     if (home == node) {
-        ++fetchLocal_[node];
-        const Cycles d = dramFor(node, addr).book(now, kSectorSize);
-        ctr.delayDram += d;
-        delay += d;
-        obs_dram = d;
+        obs_dram = fetchLocalDram(now, node, addr);
+        delay += obs_dram;
     } else {
         ++fetchRemote_[node];
+        const RemoteLeg leg = fetchRemote(now, node, home, addr, write);
+        delay += leg.net + cfg_.l2LatencyCycles + leg.dram;
+        obs_l2 += cfg_.l2LatencyCycles;
+        obs_dram = leg.dram;
         // Both fabric legs of a remote fetch attribute to one component:
         // ring when requester and home share a GPU, inter-GPU link
         // otherwise (a cross-GPU route's ring segments ride along).
         const bool same_gpu = cfg_.gpuOfNode(node) == cfg_.gpuOfNode(home);
-        Cycles &leg = same_gpu ? obs_ring : obs_link;
-        // Read: small request out, sector back. Write: sector out, ack
-        // back.
-        {
-            const Cycles d = net_->routeDelay(now, node, home,
-                                              write ? kSectorSize
-                                                    : kCtrlBytes);
-            ctr.delayNet += d;
-            delay += d;
-            leg += d;
-        }
-
-        const bool alloc = homeSideAllocates(policy_, true);
-        EvictInfo ev_home;
-        const AccessResult r3 = l2_[home].access(addr, write, alloc,
-                                                 &ev_home);
-        countClass(node, home, home, r3 == AccessResult::Hit);
-        handleEviction(now, home, ev_home);
-        delay += cfg_.l2LatencyCycles;
-        obs_l2 += cfg_.l2LatencyCycles;
-        if (r3 != AccessResult::Hit) {
-            const Cycles d = dramFor(home, addr).book(now, kSectorSize);
-            ctr.delayDram += d;
-            delay += d;
-            obs_dram = d;
-        }
-
-        {
-            const Cycles d = net_->routeDelay(now, home, node,
-                                              write ? kCtrlBytes
-                                                    : kSectorSize);
-            ctr.delayNet += d;
-            delay += d;
-            leg += d;
-        }
+        (same_gpu ? obs_ring : obs_link) = leg.net;
     }
 
     if (obsLat_) {
@@ -736,22 +696,14 @@ MemorySystem::shardAccess(ShardLane &lane, Cycles now, SmId sm, Addr addr,
         return {0, idx};
     }
 
-    const bool req_alloc = cfg_.remoteCachingL2 || home == node;
     EvictInfo ev;
-    const AccessResult r2 = l2_[node].access(addr, write, req_alloc, &ev);
-    if (r2 == AccessResult::Hit) {
-        countClass(node, home, node, true);
+    if (requesterL2Hit(node, home, addr, write, ev))
         return {now + delay + cfg_.l2LatencyCycles, kShardNoOp};
-    }
     delay += cfg_.l2LatencyCycles;
-    countClass(node, home, node, false);
     shardHandleEviction(lane, now, node, ev);
 
     if (home == node) {
-        ++fetchLocal_[node];
-        const Cycles d = dramFor(node, addr).book(now, kSectorSize);
-        ctr.delayDram += d;
-        delay += d;
+        delay += fetchLocalDram(now, node, addr);
         const Cycles done = now + delay;
         insertPending(node, mshr, addr, now, done);
         return {done, kShardNoOp};
@@ -787,40 +739,39 @@ MemorySystem::shardHandleEviction(ShardLane &lane, Cycles now, NodeId node,
                         ShardOpKind::Writeback, true, 0, bytes, 0});
 }
 
+MemorySystem::RemoteLeg
+MemorySystem::fetchRemote(Cycles now, NodeId node, NodeId home, Addr addr,
+                          bool write)
+{
+    NodeCounters &ctr = ctr_[node];
+    RemoteLeg leg;
+    // Read: small request out, sector back. Write: sector out, ack back.
+    leg.net = net_->routeDelay(now, node, home,
+                               write ? kSectorSize : kCtrlBytes);
+    const bool alloc = homeSideAllocates(policy_, true);
+    EvictInfo ev_home;
+    const AccessResult r3 = l2_[home].access(addr, write, alloc, &ev_home);
+    countClass(node, home, home, r3 == AccessResult::Hit);
+    handleEviction(now, home, ev_home);
+    if (r3 != AccessResult::Hit) {
+        leg.dram = dramFor(home, addr).book(now, kSectorSize);
+        ctr.delayDram += leg.dram;
+    }
+    leg.net += net_->routeDelay(now, home, node,
+                                write ? kCtrlBytes : kSectorSize);
+    ctr.delayNet += leg.net;
+    return leg;
+}
+
 void
 MemorySystem::execRemoteLeg(ShardOp &op)
 {
-    const NodeId node = op.node;
-    const NodeId home = op.home;
-    NodeCounters &ctr = ctr_[node];
-    Cycles delay = op.partial;
-    {
-        const Cycles d = net_->routeDelay(
-            op.time, node, home, op.write ? kSectorSize : kCtrlBytes);
-        ctr.delayNet += d;
-        delay += d;
-    }
-    const bool alloc = homeSideAllocates(policy_, true);
-    EvictInfo ev_home;
-    const AccessResult r3 =
-        l2_[home].access(op.addr, op.write, alloc, &ev_home);
-    countClass(node, home, home, r3 == AccessResult::Hit);
-    handleEviction(op.time, home, ev_home);
-    delay += cfg_.l2LatencyCycles;
-    if (r3 != AccessResult::Hit) {
-        const Cycles d = dramFor(home, op.addr).book(op.time, kSectorSize);
-        ctr.delayDram += d;
-        delay += d;
-    }
-    {
-        const Cycles d = net_->routeDelay(
-            op.time, home, node, op.write ? kCtrlBytes : kSectorSize);
-        ctr.delayNet += d;
-        delay += d;
-    }
-    op.done = op.time + delay;
-    insertPending(node, pending_[node].locate(op.addr), op.addr, op.time,
-                  op.done);
+    const RemoteLeg leg = fetchRemote(op.time, op.node, op.home, op.addr,
+                                      op.write);
+    op.done = op.time + op.partial + leg.net + cfg_.l2LatencyCycles +
+              leg.dram;
+    insertPending(op.node, pending_[op.node].locate(op.addr), op.addr,
+                  op.time, op.done);
 }
 
 void
@@ -828,23 +779,15 @@ MemorySystem::finishShardFetch(ShardOp &op)
 {
     const NodeId node = op.node;
     const NodeId home = op.home;
-    const bool req_alloc = cfg_.remoteCachingL2 || home == node;
     EvictInfo ev;
-    const AccessResult r2 =
-        l2_[node].access(op.addr, op.write, req_alloc, &ev);
-    if (r2 == AccessResult::Hit) {
-        countClass(node, home, node, true);
+    if (requesterL2Hit(node, home, op.addr, op.write, ev)) {
         op.done = op.time + op.partial + cfg_.l2LatencyCycles;
         return;
     }
     op.partial += cfg_.l2LatencyCycles;
-    countClass(node, home, node, false);
     handleEviction(op.time, node, ev);
     if (home == node) {
-        ++fetchLocal_[node];
-        const Cycles d = dramFor(node, op.addr).book(op.time, kSectorSize);
-        ctr_[node].delayDram += d;
-        op.partial += d;
+        op.partial += fetchLocalDram(op.time, node, op.addr);
         op.done = op.time + op.partial;
         insertPending(node, pending_[node].locate(op.addr), op.addr,
                       op.time, op.done);

@@ -398,8 +398,50 @@ class MemorySystem
                              const EvictInfo &ev);
     /** Serial phase: requester-side L2 onward for an Untranslated op. */
     void finishShardFetch(ShardOp &op);
-    /** Serial phase: both fabric legs + home-side L2/DRAM of a fetch. */
+    /** Serial phase: fetchRemote() for a deferred op, then its MSHR. */
     void execRemoteLeg(ShardOp &op);
+
+    /**
+     * Requester-side L2 probe, counted by traffic class: the dynamic
+     * shared L2 [51] caches whatever its own SMs touch; without remote
+     * caching it only holds local-homed lines (memory-side L2). The
+     * caller disposes of the victim left in @p ev.
+     */
+    bool
+    requesterL2Hit(NodeId node, NodeId home, Addr addr, bool write,
+                   EvictInfo &ev)
+    {
+        const bool alloc = cfg_.remoteCachingL2 || home == node;
+        const bool hit =
+            l2_[node].access(addr, write, alloc, &ev) == AccessResult::Hit;
+        countClass(node, home, node, hit);
+        return hit;
+    }
+
+    /** Count and fetch a local-homed sector; returns the DRAM delay. */
+    Cycles
+    fetchLocalDram(Cycles now, NodeId node, Addr addr)
+    {
+        ++fetchLocal_[node];
+        const Cycles d = dramFor(node, addr).book(now, kSectorSize);
+        ctr_[node].delayDram += d;
+        return d;
+    }
+
+    /** Fabric and DRAM cycles of a remote fetch (home L2 latency aside). */
+    struct RemoteLeg
+    {
+        Cycles net = 0;
+        Cycles dram = 0;
+    };
+    /**
+     * Remote fetch of a sector homed at @p home: request leg, home L2,
+     * home DRAM on a miss, response leg. Counts the home-side traffic
+     * class and the node's fabric/DRAM delays; the caller counts the
+     * fetch itself.
+     */
+    RemoteLeg fetchRemote(Cycles now, NodeId node, NodeId home, Addr addr,
+                          bool write);
     /**
      * Record a miss on @p addr completing at @p done in @p node's
      * outstanding-miss table, at the slot @p ref located with no

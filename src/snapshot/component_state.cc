@@ -28,10 +28,7 @@
 #include "common/serial.hh"
 #include "common/sim_error.hh"
 #include "common/stats.hh"
-#include "interconnect/crossbar.hh"
-#include "interconnect/hierarchical.hh"
 #include "interconnect/network.hh"
-#include "interconnect/ring.hh"
 #include "mem/dram.hh"
 #include "mem/migration.hh"
 #include "mem/page_table.hh"
@@ -603,6 +600,8 @@ Network::saveState(serial::Writer &w) const
     w.u64(interNodeBytes_);
     w.u64(interGpuBytes_);
     w.u64(severedCrossings_);
+    for (const Link &l : links_)
+        l.saveState(w);
 }
 
 void
@@ -611,81 +610,7 @@ Network::loadState(serial::Reader &r)
     interNodeBytes_ = r.u64();
     interGpuBytes_ = r.u64();
     severedCrossings_ = r.u64();
-}
-
-void
-CrossbarNet::saveState(serial::Writer &w) const
-{
-    Network::saveState(w);
-    for (const Link &l : egress_)
-        l.saveState(w);
-    for (const Link &l : ingress_)
-        l.saveState(w);
-}
-
-void
-CrossbarNet::loadState(serial::Reader &r)
-{
-    Network::loadState(r);
-    for (Link &l : egress_)
-        l.loadState(r);
-    for (Link &l : ingress_)
-        l.loadState(r);
-}
-
-void
-RingFabric::saveState(serial::Writer &w) const
-{
-    for (const Link &l : cw_)
-        l.saveState(w);
-    for (const Link &l : ccw_)
-        l.saveState(w);
-}
-
-void
-RingFabric::loadState(serial::Reader &r)
-{
-    for (Link &l : cw_)
-        l.loadState(r);
-    for (Link &l : ccw_)
-        l.loadState(r);
-}
-
-void
-RingNet::saveState(serial::Writer &w) const
-{
-    Network::saveState(w);
-    ring_.saveState(w);
-}
-
-void
-RingNet::loadState(serial::Reader &r)
-{
-    Network::loadState(r);
-    ring_.loadState(r);
-}
-
-void
-HierarchicalNet::saveState(serial::Writer &w) const
-{
-    Network::saveState(w);
-    for (const RingFabric &f : rings_)
-        f.saveState(w);
-    for (const Link &l : gpuEgress_)
-        l.saveState(w);
-    for (const Link &l : gpuIngress_)
-        l.saveState(w);
-}
-
-void
-HierarchicalNet::loadState(serial::Reader &r)
-{
-    Network::loadState(r);
-    for (RingFabric &f : rings_)
-        f.loadState(r);
-    for (Link &l : gpuEgress_)
-        l.loadState(r);
-    for (Link &l : gpuIngress_)
+    for (Link &l : links_)
         l.loadState(r);
 }
 

@@ -15,7 +15,7 @@
 #include "core/experiment.hh"
 #include "core/metrics.hh"
 #include "core/policy_bundle.hh"
-#include "interconnect/hierarchical.hh"
+#include "interconnect/network.hh"
 #include "runtime/malloc_registry.hh"
 #include "sched/kernel_wide.hh"
 #include "sim/gpu_system.hh"
@@ -92,15 +92,12 @@ TEST(GpuSystem, BoundaryFlushForcesRefetch)
 
 TEST(HierarchicalNet, SwitchBytesCountOnlyGpuCrossings)
 {
-    const auto cfg = presets::multiGpu4x4();
-    HierarchicalNet net(cfg);
-    net.routeDelay(0, 0, 1, 32);  // same GPU: ring only
-    EXPECT_EQ(net.switchBytes(), 0u);
-    net.routeDelay(0, 0, 5, 32);  // cross GPU
-    net.routeDelay(0, 15, 2, 64); // cross GPU
-    EXPECT_EQ(net.switchBytes(), 96u);
-    net.reset();
-    EXPECT_EQ(net.switchBytes(), 0u);
+    auto net = makeNetwork(presets::multiGpu4x4());
+    net->routeDelay(0, 0, 1, 32);  // same GPU: ring only
+    EXPECT_EQ(net->switchBytes(), 0u);
+    net->routeDelay(0, 0, 5, 32);  // cross GPU
+    net->routeDelay(0, 15, 2, 64); // cross GPU
+    EXPECT_EQ(net->switchBytes(), 96u);
 }
 
 /**

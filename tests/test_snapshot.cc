@@ -106,9 +106,9 @@ class SnapshotTest : public ::testing::Test
 };
 
 RunMetrics
-runOnce(const char *workload, int shards, double scale, int launches = 1)
+runOnce(const char *workload, int shards, double scale, int launches = 1,
+        SystemConfig cfg = presets::multiGpu4x4())
 {
-    SystemConfig cfg = presets::multiGpu4x4();
     cfg.shards = shards;
     auto w = workloads::makeWorkload(workload, scale);
     return runExperiment(*w, Policy::Ladm, cfg, launches);
@@ -127,7 +127,8 @@ runOnce(const char *workload, int shards, double scale, int launches = 1)
  */
 void
 expectResumeIdentical(const char *workload, int shards, double scale,
-                      int launches = 1, Cycles stop_at = 0)
+                      int launches = 1, Cycles stop_at = 0,
+                      const SystemConfig &cfg = presets::multiGpu4x4())
 {
     const std::string ckpt = tmpPath("resume.ckpt");
     const std::string ref_csv = tmpPath("ref.csv");
@@ -138,7 +139,7 @@ expectResumeIdentical(const char *workload, int shards, double scale,
     TelemetryOptions topts;
     topts.statsCsvPath = ref_csv;
     telemetry::session().configure(topts);
-    const RunMetrics ref = runOnce(workload, shards, scale, launches);
+    const RunMetrics ref = runOnce(workload, shards, scale, launches, cfg);
     telemetry::session().finalize();
     telemetry::session().resetForTest();
     if (stop_at == 0)
@@ -153,7 +154,7 @@ expectResumeIdentical(const char *workload, int shards, double scale,
     snapshot::options().testStopAt = stop_at;
     bool interrupted = false;
     try {
-        runOnce(workload, shards, scale, launches);
+        runOnce(workload, shards, scale, launches, cfg);
     } catch (const snapshot::Interrupted &e) {
         interrupted = true;
         EXPECT_EQ(e.path(), ckpt);
@@ -167,7 +168,7 @@ expectResumeIdentical(const char *workload, int shards, double scale,
     snapshot::options().resume = ckpt;
     topts.statsCsvPath = res_csv;
     telemetry::session().configure(topts);
-    const RunMetrics res = runOnce(workload, shards, scale, launches);
+    const RunMetrics res = runOnce(workload, shards, scale, launches, cfg);
     telemetry::session().finalize();
     telemetry::session().resetForTest();
 
@@ -202,6 +203,21 @@ TEST_F(SnapshotTest, ResumeIdenticalPageRankSerial)
 TEST_F(SnapshotTest, ResumeIdenticalPageRankSharded)
 {
     expectResumeIdentical("PageRank", 4, 0.1);
+}
+
+TEST_F(SnapshotTest, ResumeIdenticalCrossbar)
+{
+    // Flat crossbar: the fabric image is the per-node switch ports only.
+    expectResumeIdentical("PageRank", 1, 0.1, 1, 0,
+                          presets::multiGpuFlat(4, 90.0));
+}
+
+TEST_F(SnapshotTest, ResumeIdenticalRingSharded)
+{
+    // Flat ring: the fabric image is the ring segments only; the PDES
+    // window is the ring hop latency.
+    expectResumeIdentical("PageRank", 4, 0.1, 1, 0,
+                          presets::mcmRing(4, 1400.0));
 }
 
 TEST_F(SnapshotTest, ResumeIdenticalMultiLaunch)
