@@ -52,8 +52,8 @@ struct ArrayAccess
     bool isWrite = false;
     /** Execution frequency relative to the kernel's outer loop. */
     AccessFreq freq = AccessFreq::Auto;
-    /** Source annotation for reports ("A[Row*W+m*T+tx]"). */
-    std::string note;
+    /** Source annotation for reports ("A[Row*W+m*T+tx]"); optional. */
+    std::string note = {};
 
     /** Resolve Auto: per-iteration iff the index references m. */
     bool

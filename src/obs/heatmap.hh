@@ -8,9 +8,10 @@
  * run's allocations, so the record path stays two increments.
  *
  * Conservation: every recordFetch() mirrors exactly one fetchLocal_/
- * fetchRemote_ increment in MemorySystem::access(), so the matrix
- * diagonal row-sums to fetch_local and the off-diagonal to fetch_remote
- * bit-exactly (the property tests/test_obs.cc pins down).
+ * fetchRemote_ increment on MemorySystem's one access path (its miss
+ * half, MemorySystem::missPath), so the matrix diagonal row-sums to
+ * fetch_local and the off-diagonal to fetch_remote bit-exactly (the
+ * property tests/test_obs.cc pins down).
  */
 
 #ifndef LADM_OBS_HEATMAP_HH

@@ -20,6 +20,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "common/sim_error.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "sim/event_queue.hh"
@@ -195,6 +196,28 @@ struct alignas(64) Lane
     /** Time of the held event, kNoEvent when none is held. */
     Cycles headTime() const { return hasHeld ? held.time : kNoEvent; }
 
+    /**
+     * No-progress watchdog of the invariant suite: a healthy kernel
+     * advances simulated time within a bounded number of events (every
+     * warp's next wake-up moves forward by at least the compute gap).
+     * A trace that never retires combined with a zero gap spins at one
+     * cycle forever. Feed every event time @p t of the lane; true once
+     * more than @p limit events ran without time advancing.
+     */
+    bool
+    stalled(Cycles t, uint64_t limit)
+    {
+        if (t > watchdogTime) {
+            watchdogTime = t;
+            watchdogStuck = 0;
+            return false;
+        }
+        return ++watchdogStuck > limit;
+    }
+
+    /** The watchdog's structured abort, with the lane's state. */
+    InvariantViolation noProgress() const;
+
     /** Checkpoint image of the lane's state (not its spec). */
     void save(serial::Writer &w) const;
     void load(serial::Reader &r);
@@ -225,6 +248,9 @@ struct alignas(64) Lane
     Cycles endCycle = 0;
     /** Sharded only: successors scheduled below their window's end. */
     uint64_t lateEvents = 0;
+    /** stalled()'s state: the newest event time, events run at it. */
+    Cycles watchdogTime = 0;
+    uint64_t watchdogStuck = 0;
     Histogram ownHist;
     Histogram *hist;
 };

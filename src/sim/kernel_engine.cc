@@ -37,8 +37,6 @@ toString(KernelEngine::PdesFallback fb)
     switch (fb) {
     case KernelEngine::PdesFallback::None:
         return "none";
-    case KernelEngine::PdesFallback::CheckSuite:
-        return "invariant check suite (LADM_CHECK) is serial-only";
     case KernelEngine::PdesFallback::Tracing:
         return "event tracing (--trace-out) is serial-only";
     case KernelEngine::PdesFallback::MemoryIncompatible:
@@ -221,21 +219,17 @@ KernelEngine::run(const LaunchDims &dims, TraceSource &trace,
     }
 
     // Sharded conservative-PDES loop -- only when configured for >1
-    // shard AND this run needs none of the serial-only machinery: the
-    // invariant suite (watchdog/drain bookkeeping is serial), event
+    // shard AND this run needs none of the serial-only machinery: event
     // tracing (the tracer sink is single-threaded), shard-incompatible
-    // memory features (see MemorySystem::shardCompatible()), and a
-    // private trace instance per extra shard (warpStep scratch buffers
-    // are per-object). Anything short of that runs the bit-exact serial
-    // reference below.
+    // memory features (see MemorySystem::shardIncompatibleReason()),
+    // and a private trace instance per extra shard (warpStep scratch
+    // buffers are per-object). Anything short of that runs the
+    // bit-exact serial reference below.
     if (maxShards_ > 1) {
-        if (check_on) {
-            noteFallback(PdesFallback::CheckSuite, nullptr);
-        } else if (telemetry::tracer().enabled()) {
+        if (telemetry::tracer().enabled()) {
             noteFallback(PdesFallback::Tracing, nullptr);
-        } else if (!mem_.shardCompatible()) {
-            noteFallback(PdesFallback::MemoryIncompatible,
-                         mem_.shardIncompatibleReason());
+        } else if (const char *why = mem_.shardIncompatibleReason()) {
+            noteFallback(PdesFallback::MemoryIncompatible, why);
         } else if (static_cast<int>(shard_traces.size()) + 1 <
                    maxShards_) {
             noteFallback(PdesFallback::MissingShardTraces, nullptr);
@@ -281,14 +275,9 @@ KernelEngine::run(const LaunchDims &dims, TraceSource &trace,
     else
         ln.admitAll(start);
 
-    // No-progress watchdog (opt-in): a healthy kernel advances simulated
-    // time within a bounded number of events (every warp's next wake-up
-    // moves forward by at least the compute gap). A trace that never
-    // retires combined with a zero gap spins here forever; the watchdog
-    // turns that hang into a structured abort with the machine state.
+    // No-progress watchdog (opt-in, see Lane::stalled): turns a hang
+    // into a structured abort with the machine state.
     const uint64_t watchdog_limit = check_on ? check::watchdogLimit() : 0;
-    Cycles watchdog_time = cur;
-    uint64_t watchdog_stuck = 0;
 
     while (!ln.pq.empty()) {
         // Safe point: between two events the queue is consistent and no
@@ -307,43 +296,15 @@ KernelEngine::run(const LaunchDims &dims, TraceSource &trace,
         if (timeline_)
             timeline_->maybeTick(ev.time);
 
-        if (check_on) {
-            if (ev.time > watchdog_time) {
-                watchdog_time = ev.time;
-                watchdog_stuck = 0;
-            } else if (++watchdog_stuck > watchdog_limit) {
-                size_t dispatched = 0, queued = 0;
-                for (int n = 0; n < num_nodes; ++n) {
-                    dispatched += ln.cursor[n];
-                    queued += node_queues[n].size();
-                }
-                if (ckpt_) {
-                    // Re-file the popped event so the dumped image is a
-                    // consistent safe point, then leave a replayable
-                    // post-mortem checkpoint beside the telemetry dump.
-                    ln.pq.push(ev.time, ev.warp);
-                    ckpt_->postMortem(cur, save);
-                }
-                throw InvariantViolation(
-                    "engine made no progress for " +
-                        std::to_string(watchdog_stuck) +
-                        " events (hung kernel?)",
-                    {{"engine.cycle", std::to_string(ev.time),
-                      "simulated time stopped advancing",
-                      "raise LADM_CHECK_WATCHDOG if the kernel is "
-                      "legitimately this dense"},
-                     {"engine.live_warps",
-                      std::to_string(ln.warps.size() -
-                                     ln.freeWarps.size()),
-                      "warps still in flight at the stuck cycle",
-                      "check the trace source's retire condition"},
-                     {"engine.tbs_dispatched",
-                      std::to_string(dispatched) + " of " +
-                          std::to_string(queued),
-                      "threadblocks handed to SMs so far",
-                      "undispatched TBs are waiting on the stuck "
-                      "ones"}});
+        if (check_on && ln.stalled(ev.time, watchdog_limit)) {
+            if (ckpt_) {
+                // Re-file the popped event so the dumped image is a
+                // consistent safe point, then leave a replayable
+                // post-mortem checkpoint beside the telemetry dump.
+                ln.pq.push(ev.time, ev.warp);
+                ckpt_->postMortem(cur, save);
             }
+            throw ln.noProgress();
         }
 
         buf.clear();
@@ -379,20 +340,33 @@ KernelEngine::run(const LaunchDims &dims, TraceSource &trace,
         ++warpStepsTotal_;
     }
 
-    if (check_on) {
+    return finishRun(dims, trace, start, tb_warps_left, lanes);
+}
+
+KernelRunStats
+KernelEngine::finishRun(const LaunchDims &dims, const TraceSource &trace,
+                        Cycles start, const std::vector<int> &tb_warps_left,
+                        const std::vector<Lane *> &lanes)
+{
+    if (check::enabled()) {
         // Dispatch conservation at drain: every queue fully consumed and
         // every TB's warps retired. A shortfall means admit() starved --
         // a resident-limit accounting bug, not a workload property.
         std::vector<Diagnostic> diags;
-        for (int n = 0; n < num_nodes; ++n) {
-            if (ln.cursor[n] != node_queues[n].size()) {
-                diags.push_back(
-                    {"node" + std::to_string(n) + ".queue",
-                     std::to_string(ln.cursor[n]) + " of " +
-                         std::to_string(node_queues[n].size()) +
-                         " dispatched",
-                     "TB queue not drained at kernel end",
-                     "an SM stopped pulling work while TBs remained"});
+        Cycles end = start;
+        for (const Lane *ln : lanes) {
+            end = std::max(end, ln->endCycle);
+            for (size_t i = 0; i < ln->cursor.size(); ++i) {
+                const NodeId n = ln->nodeLo + static_cast<NodeId>(i);
+                const size_t queued = (*ln->spec.nodeQueues)[n].size();
+                if (ln->cursor[i] != queued) {
+                    diags.push_back(
+                        {"node" + std::to_string(n) + ".queue",
+                         std::to_string(ln->cursor[i]) + " of " +
+                             std::to_string(queued) + " dispatched",
+                         "TB queue not drained at kernel end",
+                         "an SM stopped pulling work while TBs remained"});
+                }
             }
         }
         for (TbId tb = 0; tb < dims.numTbs() && diags.size() < 8; ++tb) {
@@ -410,16 +384,9 @@ KernelEngine::run(const LaunchDims &dims, TraceSource &trace,
                 "threadblocks",
                 std::move(diags));
         }
-        mem_.checkDrained(ln.endCycle);
+        mem_.checkDrained(end);
     }
 
-    return finishRun(dims, trace, start, lanes);
-}
-
-KernelRunStats
-KernelEngine::finishRun(const LaunchDims &dims, const TraceSource &trace,
-                        Cycles start, const std::vector<Lane *> &lanes)
-{
     KernelRunStats stats;
     stats.startCycle = start;
     stats.endCycle = start;
@@ -487,8 +454,8 @@ KernelEngine::loadLoop(bool sharded, std::vector<int> &tb_warps_left,
               std::string("the checkpoint was written by the ") +
                   loopName(found) + " loop but this run resolves to the " +
                   loopName(sharded) + " loop",
-              "resume with the same --shards / --check / tracing "
-              "setup that produced the checkpoint"}});
+              "resume with the same --shards / tracing setup that "
+              "produced the checkpoint"}});
     }
     kernelsRun_ = r.u64();
     warpStepsTotal_ = r.u64();
@@ -536,7 +503,8 @@ Lane::Lane(const LaneSpec &spec_in, NodeId node_lo, NodeId node_hi,
     : spec(spec_in), nodeLo(node_lo),
       cursor(static_cast<size_t>(node_hi - node_lo), 0),
       pq(mode, std::max<Cycles>(spec_in.gap, 1)), endCycle(start),
-      ownHist(8, 32), hist(live_hist ? live_hist : &ownHist)
+      watchdogTime(start), ownHist(8, 32),
+      hist(live_hist ? live_hist : &ownHist)
 {
     // SM ids are numbered node-major (SystemConfig::nodeOfSm).
     const NodeId *first = spec.smNode, *last = first + spec.numSms;
@@ -544,6 +512,32 @@ Lane::Lane(const LaneSpec &spec_in, NodeId node_lo, NodeId node_hi,
     const auto hi = std::lower_bound(first, last, node_hi) - first;
     sms.assign(static_cast<size_t>(hi - smLo),
                SmState{0, spec.warpSlotsPerSm});
+}
+
+InvariantViolation
+Lane::noProgress() const
+{
+    size_t dispatched = 0, queued = 0;
+    for (size_t i = 0; i < cursor.size(); ++i) {
+        dispatched += cursor[i];
+        queued += (*spec.nodeQueues)[nodeLo + i].size();
+    }
+    return InvariantViolation(
+        "engine made no progress for " + std::to_string(watchdogStuck) +
+            " events on node(s) " + std::to_string(nodeLo) + ".." +
+            std::to_string(nodeLo + cursor.size() - 1) + " (hung kernel?)",
+        {{"engine.cycle", std::to_string(watchdogTime),
+          "simulated time stopped advancing",
+          "raise LADM_CHECK_WATCHDOG if the kernel is "
+          "legitimately this dense"},
+         {"engine.live_warps",
+          std::to_string(warps.size() - freeWarps.size()),
+          "warps still in flight at the stuck cycle",
+          "check the trace source's retire condition"},
+         {"engine.tbs_dispatched",
+          std::to_string(dispatched) + " of " + std::to_string(queued),
+          "threadblocks handed to SMs so far",
+          "undispatched TBs are waiting on the stuck ones"}});
 }
 
 void

@@ -100,8 +100,8 @@ class KernelEngine
     /**
      * Shard count this engine was configured with (resolved, clamped to
      * the node count). 1 = serial reference loop. Individual runs may
-     * still fall back to the serial loop (tracing, invariant checks,
-     * shard-incompatible memory features, missing per-shard traces).
+     * still fall back to the serial loop (tracing, shard-incompatible
+     * memory features, missing per-shard traces).
      */
     int maxShards() const { return maxShards_; }
 
@@ -132,12 +132,12 @@ class KernelEngine
      * instead of the sharded PDES loop (None = it ran sharded). The
      * reason is also published as the "engine.pdes.fallback_reason"
      * gauge and warned once per distinct reason, so a silently-serial
-     * run is diagnosable from its telemetry alone.
+     * run is diagnosable from its telemetry alone. The values are the
+     * published gauge's, so a retired reason (1) leaves a gap.
      */
     enum class PdesFallback : int
     {
         None = 0,
-        CheckSuite = 1,         ///< LADM_CHECK invariants force serial
         Tracing = 2,            ///< event tracing is serial-only
         MemoryIncompatible = 3, ///< see MemorySystem::shardIncompatibleReason
         MissingShardTraces = 4, ///< caller supplied too few trace instances
@@ -176,10 +176,14 @@ class KernelEngine
     Cycles loadLoop(bool sharded, std::vector<int> &tb_warps_left,
                     const std::vector<engine_detail::Lane *> &lanes);
 
-    /** Fold the lanes into the launch's stats and count the kernel. */
+    /**
+     * Fold the lanes into the launch's stats and count the kernel. With
+     * the invariant suite armed, first check that every node queue was
+     * dispatched, every TB retired and the memory system drained.
+     */
     KernelRunStats
     finishRun(const LaunchDims &dims, const TraceSource &trace,
-              Cycles start,
+              Cycles start, const std::vector<int> &tb_warps_left,
               const std::vector<engine_detail::Lane *> &lanes);
 
     const SystemConfig &cfg_;

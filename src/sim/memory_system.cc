@@ -23,6 +23,7 @@ MemorySystem::MemorySystem(const SystemConfig &cfg)
       net_(makeNetwork(cfg))
 {
     cfg_.validate();
+    immediate_.immediate = true;
     chipletFaults_ = net_->faultPlan().anyChipletFaults();
     const int nodes = cfg_.numNodes();
     const int sms = cfg_.totalSms();
@@ -93,32 +94,17 @@ MemorySystem::dramBusyCycles(NodeId n) const
     return v;
 }
 
-void
-MemorySystem::handleDirtyEviction(Cycles now, NodeId node,
-                                  const EvictInfo &ev)
+MemorySystem::ShardAccess
+MemorySystem::access(AccessLane &lane, Cycles now, SmId sm, Addr addr,
+                     bool write)
 {
-    const int dirty = __builtin_popcount(ev.dirtyMask);
-    ctr_[node].writebackSectors += dirty;
-    const Bytes bytes = static_cast<Bytes>(dirty) * kSectorSize;
-    NodeId home = pageTable_.lookup(ev.lineAddr);
-    if (home == kInvalidNode)
-        home = node;
-    // Fire-and-forget: the writeback consumes bandwidth but nobody waits.
-    if (home != node)
-        net_->routeDelay(now, node, home, bytes);
-    dramFor(home, ev.lineAddr).book(now, bytes);
-}
-
-Cycles
-MemorySystem::access(Cycles now, SmId sm, Addr addr, bool write)
-{
-    // The issue time `now` is globally monotone (the engine processes
-    // warp events in time order), so every bandwidth resource along the
-    // path is booked at `now` and contributes a delay; see the ordering
-    // contract in common/bandwidth_server.hh. Booking downstream
-    // resources at their actual (future) arrival times instead would
-    // interleave non-monotone timestamps and manufacture phantom
-    // serialization.
+    // The issue time `now` is monotone (globally on the immediate lane,
+    // per lane and per deferred op on a deferred one), so every
+    // bandwidth resource along the path is booked at `now` and
+    // contributes a delay; see the ordering contract in
+    // common/bandwidth_server.hh. Booking downstream resources at their
+    // actual (future) arrival times instead would interleave
+    // non-monotone timestamps and manufacture phantom serialization.
     addr = sectorBase(addr);
     const NodeId node = smNode_[sm];
 
@@ -138,8 +124,8 @@ MemorySystem::access(Cycles now, SmId sm, Addr addr, bool write)
         if (l1_[sm].access(addr, false, true) == AccessResult::Hit) {
             ++ctr.l1Hits;
             if (obsLat_)
-                obsL1Hit(node);
-            return now + cfg_.l1LatencyCycles;
+                obsAccess(node, kInvalidNode, cfg_.l1LatencyCycles);
+            return {now + cfg_.l1LatencyCycles, kShardNoOp};
         }
     } else {
         l1_[sm].invalidateSector(addr);
@@ -147,13 +133,9 @@ MemorySystem::access(Cycles now, SmId sm, Addr addr, bool write)
     Cycles delay = cfg_.l1LatencyCycles;
 
     // SM <-> L2 crossbar within the chiplet.
-    Cycles obs_xbar = 0;
-    {
-        const Cycles d = xbar_[node].book(now, kSectorSize);
-        ctr.delayXbar += d;
-        delay += d;
-        obs_xbar = d;
-    }
+    const Cycles xbar = xbar_[node].book(now, kSectorSize);
+    ctr.delayXbar += xbar;
+    delay += xbar;
 
     // Outstanding-miss merge (MSHR): if this sector is already in flight
     // from this node, ride along. A stale (expired) entry is NOT erased
@@ -166,11 +148,34 @@ MemorySystem::access(Cycles now, SmId sm, Addr addr, bool write)
         const Cycles ready = pend.readyAt(mshr);
         if (ready > now + delay) {
             ++ctr.mshrMerges;
-            if (obsLat_)
-                obsMerge(node, obs_xbar, ready - now - delay, ready - now);
-            return ready;
+            if (obsLat_) {
+                obsAccess(node, kInvalidNode, ready - now, xbar,
+                          ready - now - delay);
+            }
+            return {ready, kShardNoOp};
         }
     }
+    // In-window join: the sector is already being fetched by an earlier
+    // access in this window; ride the deferred op instead of issuing a
+    // second fetch (the MSHR entry only appears once the op executes).
+    // An immediate lane never has an op in flight.
+    if (!lane.immediate) {
+        if (const auto it = lane.inflight.find(addr);
+            it != lane.inflight.end()) {
+            ++ctr.mshrMerges;
+            return {0, it->second};
+        }
+    }
+    return missPath(lane, {now, node, addr, write, delay, xbar, mshr});
+}
+
+inline MemorySystem::ShardAccess
+MemorySystem::missPath(AccessLane &lane, const Miss &m)
+{
+    const Cycles now = m.now;
+    const NodeId node = m.node;
+    const Addr addr = m.addr;
+    Cycles delay = m.delay;
 
     // Translate before the requester-side L2 decision: whether this L2
     // may hold the line depends on where the page *actually* homes, so
@@ -181,12 +186,23 @@ MemorySystem::access(Cycles now, SmId sm, Addr addr, bool write)
     // line only enters the L2 through this miss path, which maps the
     // page), so the fault stall charged on the hit return is zero in
     // practice.
-    const NodeId mapped_home = pageTable_.lookup(addr);
+    const NodeId mapped_home = translate(lane, addr);
     Cycles fault_stall = 0;
-    NodeId home =
-        mapped_home != kInvalidNode
-            ? mapped_home
-            : uvm_.touch(pageTable_, addr, node, fault_stall);
+    NodeId home = mapped_home;
+    if (home == kInvalidNode) {
+        // First touch: the UVM fault mutates the page table, which is
+        // machine-global. A deferred lane defers everything from
+        // translation onward.
+        if (!lane.immediate) {
+            return defer(lane, {.time = now,
+                                .addr = addr,
+                                .node = node,
+                                .kind = ShardOpKind::Untranslated,
+                                .write = m.write,
+                                .partial = delay});
+        }
+        home = uvm_.touch(pageTable_, addr, node, fault_stall);
+    }
 
     // Failed chiplet (fault injection): its HBM stack is gone. With
     // graceful degradation the page is rescued to a healthy node on first
@@ -207,27 +223,28 @@ MemorySystem::access(Cycles now, SmId sm, Addr addr, bool write)
             const Addr page = roundDown(addr, cfg_.pageSize);
             l2_[home].invalidateRange(page, page + cfg_.pageSize);
             fault_stall += net_->routeDelay(now, home, to, cfg_.pageSize);
-            ++ctr.rehomedPages;
+            ++ctr_[node].rehomedPages;
             home = to;
         } else {
             fault_stall += cfg_.dramLatencyCycles *
                            static_cast<Cycles>(
                                1.0 / check::kSeveredResidualFactor);
-            ++ctr.failedNodeAccesses;
+            ++ctr_[node].failedNodeAccesses;
         }
     }
 
     EvictInfo ev;
-    if (requesterL2Hit(node, home, addr, write, ev)) {
+    if (requesterL2Hit(node, home, addr, m.write, ev)) {
         if (obsLat_) {
-            obsL2Hit(node, home, obs_xbar, fault_stall,
-                     delay + fault_stall + cfg_.l2LatencyCycles);
+            obsAccess(node, home, delay + fault_stall + cfg_.l2LatencyCycles,
+                      m.xbar, 0, fault_stall, cfg_.l2LatencyCycles);
         }
-        return now + delay + fault_stall + cfg_.l2LatencyCycles;
+        return {now + delay + fault_stall + cfg_.l2LatencyCycles,
+                kShardNoOp};
     }
 
     delay += fault_stall + cfg_.l2LatencyCycles;
-    handleEviction(now, node, ev);
+    evict(lane, now, node, ev);
 
     // Latency-attribution component accumulators: plain locals on the
     // (already expensive) miss path; zero-valued and dead when obs is off.
@@ -256,10 +273,20 @@ MemorySystem::access(Cycles now, SmId sm, Addr addr, bool write)
     if (home == node) {
         obs_dram = fetchLocalDram(now, node, addr);
         delay += obs_dram;
+        insertPending(node, m.mshr, addr, now, now + delay);
     } else {
         ++fetchRemote_[node];
-        const RemoteLeg leg = fetchRemote(now, node, home, addr, write);
-        delay += leg.net + cfg_.l2LatencyCycles + leg.dram;
+        ShardOp op{.time = now,
+                   .addr = addr,
+                   .node = node,
+                   .home = home,
+                   .kind = ShardOpKind::RemoteFetch,
+                   .write = m.write,
+                   .partial = delay};
+        if (!lane.immediate)
+            return defer(lane, op);
+        const RemoteLeg leg = execRemoteFetch(op, m.mshr);
+        delay = op.done - now;
         obs_l2 += cfg_.l2LatencyCycles;
         obs_dram = leg.dram;
         // Both fabric legs of a remote fetch attribute to one component:
@@ -270,80 +297,93 @@ MemorySystem::access(Cycles now, SmId sm, Addr addr, bool write)
     }
 
     if (obsLat_) {
-        obsMiss(node, home, obs_xbar, fault_stall, obs_l2, obs_ring,
-                obs_link, obs_dram, delay);
+        obsAccess(node, home, delay, m.xbar, 0, fault_stall, obs_l2,
+                  obs_ring, obs_link, obs_dram);
     }
-
-    const Cycles done = now + delay;
-    insertPending(node, mshr, addr, now, done);
-    return done;
+    return {now + delay, kShardNoOp};
 }
 
 void
-MemorySystem::obsL1Hit(NodeId node)
+MemorySystem::writeBack(AccessLane &lane, Cycles now, NodeId node,
+                        const EvictInfo &ev)
 {
-    obs::AccessSample s;
-    s.node = node;
-    s.comp[static_cast<size_t>(obs::LatComponent::L1)] =
-        cfg_.l1LatencyCycles;
-    s.comp[static_cast<size_t>(obs::LatComponent::Total)] =
-        cfg_.l1LatencyCycles;
-    obsLat_->record(s);
+    const int dirty = __builtin_popcount(ev.dirtyMask);
+    ctr_[node].writebackSectors += dirty;
+    const Bytes bytes = static_cast<Bytes>(dirty) * kSectorSize;
+    NodeId home = translate(lane, ev.lineAddr);
+    if (home == kInvalidNode)
+        home = node;
+    if (home == node) {
+        dramFor(node, ev.lineAddr).book(now, bytes);
+        return;
+    }
+    // Fire-and-forget: the writeback consumes fabric and home DRAM
+    // bandwidth but nobody waits on it.
+    ShardOp op{.time = now,
+               .addr = ev.lineAddr,
+               .node = node,
+               .home = home,
+               .kind = ShardOpKind::Writeback,
+               .write = true,
+               .bytes = bytes};
+    if (lane.immediate)
+        execWriteback(op);
+    else
+        defer(lane, op);
 }
 
-void
-MemorySystem::obsMerge(NodeId node, Cycles xbar, Cycles wait, Cycles total)
+MemorySystem::RemoteLeg
+MemorySystem::fetchRemote(Cycles now, NodeId node, NodeId home, Addr addr,
+                          bool write)
 {
-    obs::AccessSample s;
-    s.node = node;
-    s.comp[static_cast<size_t>(obs::LatComponent::L1)] =
-        cfg_.l1LatencyCycles;
-    s.comp[static_cast<size_t>(obs::LatComponent::Xbar)] = xbar;
-    s.comp[static_cast<size_t>(obs::LatComponent::MshrWait)] = wait;
-    s.comp[static_cast<size_t>(obs::LatComponent::Total)] = total;
-    obsLat_->record(s);
+    NodeCounters &ctr = ctr_[node];
+    RemoteLeg leg;
+    // Read: small request out, sector back. Write: sector out, ack back.
+    leg.net = net_->routeDelay(now, node, home,
+                               write ? kSectorSize : kCtrlBytes);
+    const bool alloc = homeSideAllocates(policy_, true);
+    EvictInfo ev_home;
+    const AccessResult r3 = l2_[home].access(addr, write, alloc, &ev_home);
+    countClass(node, home, home, r3 == AccessResult::Hit);
+    evict(immediate_, now, home, ev_home);
+    if (r3 != AccessResult::Hit) {
+        leg.dram = dramFor(home, addr).book(now, kSectorSize);
+        ctr.delayDram += leg.dram;
+    }
+    leg.net += net_->routeDelay(now, home, node,
+                                write ? kCtrlBytes : kSectorSize);
+    ctr.delayNet += leg.net;
+    return leg;
 }
 
-void
-MemorySystem::obsL2Hit(NodeId node, NodeId home, Cycles xbar, Cycles fault,
-                       Cycles total)
-{
-    obs::AccessSample s;
-    s.node = node;
-    s.trafficClass = static_cast<int>(classifyTraffic(node, home, node));
-    s.comp[static_cast<size_t>(obs::LatComponent::L1)] =
-        cfg_.l1LatencyCycles;
-    s.comp[static_cast<size_t>(obs::LatComponent::Xbar)] = xbar;
-    s.comp[static_cast<size_t>(obs::LatComponent::FaultStall)] = fault;
-    s.comp[static_cast<size_t>(obs::LatComponent::L2)] =
-        cfg_.l2LatencyCycles;
-    s.comp[static_cast<size_t>(obs::LatComponent::Total)] = total;
-    obsLat_->record(s);
-}
 
 void
-MemorySystem::obsMiss(NodeId node, NodeId home, Cycles xbar, Cycles fault,
-                      Cycles l2, Cycles ring, Cycles link, Cycles dram,
-                      Cycles total)
+MemorySystem::obsAccess(NodeId node, NodeId home, Cycles total, Cycles xbar,
+                        Cycles wait, Cycles fault, Cycles l2, Cycles ring,
+                        Cycles link, Cycles dram)
 {
+    using obs::LatComponent;
     obs::AccessSample s;
     s.node = node;
-    s.trafficClass = static_cast<int>(classifyTraffic(node, home, node));
-    s.comp[static_cast<size_t>(obs::LatComponent::L1)] =
-        cfg_.l1LatencyCycles;
-    s.comp[static_cast<size_t>(obs::LatComponent::Xbar)] = xbar;
-    s.comp[static_cast<size_t>(obs::LatComponent::FaultStall)] = fault;
-    s.comp[static_cast<size_t>(obs::LatComponent::L2)] = l2;
-    s.comp[static_cast<size_t>(obs::LatComponent::Ring)] = ring;
-    s.comp[static_cast<size_t>(obs::LatComponent::GpuLink)] = link;
-    s.comp[static_cast<size_t>(obs::LatComponent::Dram)] = dram;
+    if (home != kInvalidNode)
+        s.trafficClass = static_cast<int>(classifyTraffic(node, home, node));
+    auto comp = [&s](LatComponent c) -> Cycles & {
+        return s.comp[static_cast<size_t>(c)];
+    };
+    comp(LatComponent::L1) = cfg_.l1LatencyCycles;
+    comp(LatComponent::Xbar) = xbar;
+    comp(LatComponent::MshrWait) = wait;
+    comp(LatComponent::FaultStall) = fault;
+    comp(LatComponent::L2) = l2;
+    comp(LatComponent::Ring) = ring;
+    comp(LatComponent::GpuLink) = link;
+    comp(LatComponent::Dram) = dram;
     // Residual (migration, host-memory residency) keeps the decomposition
     // summing to the end-to-end latency exactly.
-    const Cycles known = cfg_.l1LatencyCycles + xbar + fault + l2 + ring +
-                         link + dram;
-    s.comp[static_cast<size_t>(obs::LatComponent::Other)] =
-        total > known ? total - known : 0;
-    s.comp[static_cast<size_t>(obs::LatComponent::Total)] = total;
+    const Cycles known = cfg_.l1LatencyCycles + xbar + wait + fault + l2 +
+                         ring + link + dram;
+    comp(LatComponent::Other) = total > known ? total - known : 0;
+    comp(LatComponent::Total) = total;
     obsLat_->record(s);
 }
 
@@ -624,179 +664,6 @@ MemorySystem::resetStats()
     pendingSweepAt_.assign(pendingSweepAt_.size(), sweepFloor_);
 }
 
-// --- sharded (conservative-PDES) access path -----------------------------
-//
-// The contract mirrors access() step for step. Everything up to (and
-// including) the requester-side L2 for a *mapped* address touches only
-// node-exclusive state -- the SM's L1, the node's crossbar server, MSHR
-// table, L2 partition and DRAM channels -- and runs in the parallel
-// phase. Three things cross nodes and are deferred: the fabric legs plus
-// home-side L2/DRAM of a remote fetch, everything after translation for
-// an unmapped page (the UVM first touch mutates the page table), and a
-// dirty eviction homed remotely. Timestamps stay honest: a deferred op
-// executes with its original issue time, so the bandwidth servers see
-// the same booking times the serial engine would have produced, modulo
-// the simultaneity order documented in docs/performance.md.
-
-MemorySystem::ShardAccess
-MemorySystem::shardAccess(ShardLane &lane, Cycles now, SmId sm, Addr addr,
-                          bool write)
-{
-    addr = sectorBase(addr);
-    const NodeId node = smNode_[sm];
-    NodeCounters &ctr = ctr_[node];
-
-    pending_[node].prefetch(addr);
-    l2_[node].prefetchSet(addr);
-    pageTable_.prefetch(addr);
-
-    if (!write) {
-        ++ctr.l1Accesses;
-        if (l1_[sm].access(addr, false, true) == AccessResult::Hit) {
-            ++ctr.l1Hits;
-            return {now + cfg_.l1LatencyCycles, kShardNoOp};
-        }
-    } else {
-        l1_[sm].invalidateSector(addr);
-    }
-    Cycles delay = cfg_.l1LatencyCycles;
-    {
-        const Cycles d = xbar_[node].book(now, kSectorSize);
-        ctr.delayXbar += d;
-        delay += d;
-    }
-
-    auto &pend = pending_[node];
-    const MshrTable::Ref mshr = pend.locate(addr);
-    if (mshr.found) {
-        const Cycles ready = pend.readyAt(mshr);
-        if (ready > now + delay) {
-            ++ctr.mshrMerges;
-            return {ready, kShardNoOp};
-        }
-    }
-    // In-window join: the sector is already being fetched by an earlier
-    // access in this window; ride the deferred op instead of issuing a
-    // second fetch (the MSHR entry only appears once the op executes).
-    if (const auto it = lane.inflight.find(addr);
-        it != lane.inflight.end()) {
-        ++ctr.mshrMerges;
-        return {0, it->second};
-    }
-
-    const NodeId home = pageTable_.lookupNoFill(addr);
-    if (home == kInvalidNode) {
-        // First touch: the UVM fault mutates the page table, which is
-        // machine-global. Defer everything from translation onward.
-        const auto idx = static_cast<uint32_t>(lane.ops.size());
-        lane.ops.push_back({now, lane.seq++, addr, node, kInvalidNode,
-                            ShardOpKind::Untranslated, write, delay, 0,
-                            0});
-        lane.inflight.emplace(addr, idx);
-        return {0, idx};
-    }
-
-    EvictInfo ev;
-    if (requesterL2Hit(node, home, addr, write, ev))
-        return {now + delay + cfg_.l2LatencyCycles, kShardNoOp};
-    delay += cfg_.l2LatencyCycles;
-    shardHandleEviction(lane, now, node, ev);
-
-    if (home == node) {
-        delay += fetchLocalDram(now, node, addr);
-        const Cycles done = now + delay;
-        insertPending(node, mshr, addr, now, done);
-        return {done, kShardNoOp};
-    }
-
-    ++fetchRemote_[node];
-    const auto idx = static_cast<uint32_t>(lane.ops.size());
-    lane.ops.push_back({now, lane.seq++, addr, node, home,
-                        ShardOpKind::RemoteFetch, write, delay, 0, 0});
-    lane.inflight.emplace(addr, idx);
-    return {0, idx};
-}
-
-void
-MemorySystem::shardHandleEviction(ShardLane &lane, Cycles now, NodeId node,
-                                  const EvictInfo &ev)
-{
-    if (!ev.evicted || ev.dirtyMask == 0)
-        return;
-    const int dirty = __builtin_popcount(ev.dirtyMask);
-    ctr_[node].writebackSectors += dirty;
-    const Bytes bytes = static_cast<Bytes>(dirty) * kSectorSize;
-    NodeId home = pageTable_.lookupNoFill(ev.lineAddr);
-    if (home == kInvalidNode)
-        home = node;
-    if (home == node) {
-        dramFor(node, ev.lineAddr).book(now, bytes);
-        return;
-    }
-    // Fire-and-forget: nobody waits on a writeback, but the fabric and
-    // home DRAM bookings are cross-node, so they ride the barrier.
-    lane.ops.push_back({now, lane.seq++, ev.lineAddr, node, home,
-                        ShardOpKind::Writeback, true, 0, bytes, 0});
-}
-
-MemorySystem::RemoteLeg
-MemorySystem::fetchRemote(Cycles now, NodeId node, NodeId home, Addr addr,
-                          bool write)
-{
-    NodeCounters &ctr = ctr_[node];
-    RemoteLeg leg;
-    // Read: small request out, sector back. Write: sector out, ack back.
-    leg.net = net_->routeDelay(now, node, home,
-                               write ? kSectorSize : kCtrlBytes);
-    const bool alloc = homeSideAllocates(policy_, true);
-    EvictInfo ev_home;
-    const AccessResult r3 = l2_[home].access(addr, write, alloc, &ev_home);
-    countClass(node, home, home, r3 == AccessResult::Hit);
-    handleEviction(now, home, ev_home);
-    if (r3 != AccessResult::Hit) {
-        leg.dram = dramFor(home, addr).book(now, kSectorSize);
-        ctr.delayDram += leg.dram;
-    }
-    leg.net += net_->routeDelay(now, home, node,
-                                write ? kCtrlBytes : kSectorSize);
-    ctr.delayNet += leg.net;
-    return leg;
-}
-
-void
-MemorySystem::execRemoteLeg(ShardOp &op)
-{
-    const RemoteLeg leg = fetchRemote(op.time, op.node, op.home, op.addr,
-                                      op.write);
-    op.done = op.time + op.partial + leg.net + cfg_.l2LatencyCycles +
-              leg.dram;
-    insertPending(op.node, pending_[op.node].locate(op.addr), op.addr,
-                  op.time, op.done);
-}
-
-void
-MemorySystem::finishShardFetch(ShardOp &op)
-{
-    const NodeId node = op.node;
-    const NodeId home = op.home;
-    EvictInfo ev;
-    if (requesterL2Hit(node, home, op.addr, op.write, ev)) {
-        op.done = op.time + op.partial + cfg_.l2LatencyCycles;
-        return;
-    }
-    op.partial += cfg_.l2LatencyCycles;
-    handleEviction(op.time, node, ev);
-    if (home == node) {
-        op.partial += fetchLocalDram(op.time, node, op.addr);
-        op.done = op.time + op.partial;
-        insertPending(node, pending_[node].locate(op.addr), op.addr,
-                      op.time, op.done);
-        return;
-    }
-    ++fetchRemote_[node];
-    execRemoteLeg(op);
-}
-
 void
 MemorySystem::executeShardOps(std::vector<ShardOp *> &ops)
 {
@@ -814,29 +681,25 @@ MemorySystem::executeShardOps(std::vector<ShardOp *> &ops)
                       return a->node < b->node;
                   return a->seq < b->seq;
               });
+    // A fetch's MSHR slot is located only now: other ops of the window
+    // may have inserted into its requester's table since it was issued.
     for (ShardOp *op : ops) {
         switch (op->kind) {
         case ShardOpKind::Writeback:
-            net_->routeDelay(op->time, op->node, op->home, op->bytes);
-            dramFor(op->home, op->addr).book(op->time, op->bytes);
-            op->done = op->time;
+            execWriteback(*op);
             break;
-        case ShardOpKind::Untranslated: {
-            // An earlier op this window may have mapped the page; the
-            // serial-phase lookup (TLB fill allowed: we are exclusive
-            // here) resolves either way, faulting on true first touch.
-            Cycles fault_stall = 0;
-            const NodeId mapped = pageTable_.lookup(op->addr);
-            op->home = mapped != kInvalidNode
-                           ? mapped
-                           : uvm_.touch(pageTable_, op->addr, op->node,
-                                        fault_stall);
-            op->partial += fault_stall;
-            finishShardFetch(*op);
+        case ShardOpKind::Untranslated:
+            // An earlier op may have mapped the page since; the
+            // immediate lane's translation resolves either way (filling
+            // the TLB), faulting on a true first touch.
+            op->done = missPath(immediate_,
+                                {op->time, op->node, op->addr, op->write,
+                                 op->partial, 0,
+                                 pending_[op->node].locate(op->addr)})
+                           .done;
             break;
-        }
         case ShardOpKind::RemoteFetch:
-            execRemoteLeg(*op);
+            execRemoteFetch(*op, pending_[op->node].locate(op->addr));
             break;
         }
     }

@@ -15,7 +15,10 @@
  *
  * Timing is computed forward through bandwidth servers at issue; the
  * caller (the execution engine) is handed the completion cycle. All the
- * traffic accounting for Figs. 10/11 lives here.
+ * traffic accounting for Figs. 10/11 lives here, on one access path
+ * that both event loops drive: the serial loop through an immediate
+ * lane, the sharded PDES loop through one deferred lane per node (see
+ * "the access path" below).
  */
 
 #ifndef LADM_SIM_MEMORY_SYSTEM_HH
@@ -57,20 +60,17 @@ class MemorySystem
   public:
     explicit MemorySystem(const SystemConfig &cfg);
 
-    /**
-     * Issue a sector access from SM @p sm at cycle @p now.
-     * @return completion cycle of the access.
-     */
-    Cycles access(Cycles now, SmId sm, Addr addr, bool write);
-
-    // --- sharded (conservative-PDES) access path ---------------------------
+    // --- the access path ---------------------------------------------------
     //
-    // The sharded kernel engine partitions warps by NUMA node; each
-    // shard thread calls shardAccess() for its own nodes only. Any part
-    // of the path that would touch another node's state (fabric links,
-    // home-side L2/DRAM, the page table) is deferred as a ShardOp and
-    // executed by executeShardOps() inside the engine's serial barrier
-    // section, in a canonical order independent of the shard count.
+    // access(lane, ...) is the one body of L1 -> crossbar -> MSHR ->
+    // translate -> requester L2 -> local HBM or remote fetch. Three of
+    // its steps cross nodes: a dirty victim's writeback, a remote fetch,
+    // and translating an unmapped page (the UVM first touch mutates the
+    // page table). An *immediate* lane (the serial loop's) runs them on
+    // the spot, in global issue order; a *deferred* lane (one per node
+    // in the sharded PDES loop) queues them as ShardOps, which
+    // executeShardOps() runs in the engine's serial barrier section in
+    // a canonical order independent of the shard count.
 
     enum class ShardOpKind : uint8_t
     {
@@ -79,7 +79,7 @@ class MemorySystem
         Writeback,    ///< fire-and-forget dirty eviction to a remote home
     };
 
-    /** One deferred cross-node operation. */
+    /** One cross-node operation of the access path. */
     struct ShardOp
     {
         Cycles time = 0;  ///< issue cycle (monotone within a lane)
@@ -91,13 +91,13 @@ class MemorySystem
         bool write = false;
         Cycles partial = 0; ///< node-local delay accrued before deferral
         Bytes bytes = 0;    ///< writeback payload
-        Cycles done = 0;    ///< completion cycle; executeShardOps() fills
+        Cycles done = 0;    ///< completion cycle, filled when it runs
     };
 
     /** Sentinel "no deferred op" value in ShardAccess::op. */
     static constexpr uint32_t kShardNoOp = 0xFFFFFFFFu;
 
-    /** shardAccess() result: either a completion cycle or an op index. */
+    /** access() result: either a completion cycle or an op index. */
     struct ShardAccess
     {
         Cycles done = 0;
@@ -106,15 +106,15 @@ class MemorySystem
     };
 
     /**
-     * Per-node access lane: this window's deferred-op outbox plus an
-     * in-window merge map (same-sector accesses within one window join
-     * the op already in flight, MSHR style). Owned by the engine, one
-     * per node; only that node's shard thread may touch it between
-     * barriers.
+     * Access lane. An immediate lane keeps no state. A deferred lane
+     * holds this window's outbox of ops plus an in-window merge map
+     * (same-sector accesses within one window join the op already in
+     * flight, MSHR style); the engine owns one per node, and only that
+     * node's shard thread may touch it between barriers.
      */
-    struct ShardLane
+    struct AccessLane
     {
-        NodeId node = 0;
+        bool immediate = false;
         uint64_t seq = 0;
         std::vector<ShardOp> ops;
         std::unordered_map<Addr, uint32_t> inflight;
@@ -128,14 +128,26 @@ class MemorySystem
     };
 
     /**
-     * Node-exclusive part of the access path, callable concurrently from
-     * shard threads as long as each node's lane has exactly one caller
-     * and no serial-phase code runs simultaneously. L1, crossbar, MSHR
-     * probe, read-only translation, and the local-homed L2/DRAM path
-     * complete inline; anything cross-node returns a deferred op index.
+     * Issue a sector access from SM @p sm at cycle @p now on @p lane.
+     * On a deferred lane this touches only the requesting node's state
+     * (L1, crossbar, MSHR table, L2 partition, DRAM channels and a
+     * read-only translation), so shard threads may call it concurrently
+     * as long as each lane has exactly one caller and no serial-phase
+     * code runs simultaneously; anything cross-node returns an op index.
+     * An immediate lane always returns the completion cycle.
      */
-    ShardAccess shardAccess(ShardLane &lane, Cycles now, SmId sm,
-                            Addr addr, bool write);
+    ShardAccess access(AccessLane &lane, Cycles now, SmId sm, Addr addr,
+                       bool write);
+
+    /**
+     * Issue a sector access on the immediate lane.
+     * @return completion cycle of the access.
+     */
+    Cycles
+    access(Cycles now, SmId sm, Addr addr, bool write)
+    {
+        return access(immediate_, now, sm, addr, write).done;
+    }
 
     /**
      * Serial barrier phase: sort this window's deferred ops from every
@@ -147,22 +159,13 @@ class MemorySystem
     void executeShardOps(std::vector<ShardOp *> &ops);
 
     /**
-     * True when the sharded path models this configuration exactly:
-     * fault injection, page migration, host-memory oversubscription and
-     * the latency/heatmap observers all take locks-free shortcuts the
-     * serial path must handle instead.
-     */
-    bool
-    shardCompatible() const
-    {
-        return !chipletFaults_ && !cfg_.pageMigration && !host_ &&
-               !obsLat_ && !obsHeat_;
-    }
-
-    /**
-     * Name of the first feature blocking the sharded path, or nullptr
-     * when shardCompatible(). Drives the engine's structured fallback
-     * diagnostic so a silently-serial run is explainable.
+     * Name of the first feature deferred lanes cannot model, or nullptr
+     * when there is none. Fault injection, page migration and
+     * host-memory oversubscription mutate cross-node state inline, and
+     * the latency/heatmap observers record into shared tables, so those
+     * features run only on the immediate lane. Drives the engine's
+     * structured fallback diagnostic so a silently-serial run is
+     * explainable.
      */
     const char *
     shardIncompatibleReason() const
@@ -382,24 +385,98 @@ class MemorySystem
         return v;
     }
 
+    /** What access() knows about an L1 miss once its MSHR is probed. */
+    struct Miss
+    {
+        Cycles now = 0;
+        NodeId node = 0;
+        Addr addr = 0;
+        bool write = false;
+        Cycles delay = 0; ///< node-local delay so far (L1 + crossbar)
+        Cycles xbar = 0;  ///< crossbar share of delay, for attribution
+        MshrTable::Ref mshr{0, false}; ///< the sector's slot in node's table
+    };
+    /**
+     * The access path from translation onward: fault injection,
+     * requester L2, victim writeback, migration, host residency and the
+     * local or remote fetch. Deferred @p lane queues an unmapped page's
+     * miss and every remote fetch instead of running them. Always
+     * inlined: as a separate call it cost the serial loop about 6% of
+     * its warp-steps/sec on the lasp and first-touch baskets.
+     */
+    [[gnu::always_inline]] inline ShardAccess missPath(AccessLane &lane,
+                                                       const Miss &m);
+
+    /** Fabric and DRAM cycles of a remote fetch (home L2 latency aside). */
+    struct RemoteLeg
+    {
+        Cycles net = 0;
+        Cycles dram = 0;
+    };
+    /**
+     * Op executors, one per kind, each filling op.done: an immediate
+     * lane calls them where it creates the op, executeShardOps() at the
+     * barrier. A fetch inserts its MSHR entry at @p mshr, the op's slot
+     * in its requester's table located with no intervening mutation.
+     * RemoteFetch returns the fetch's fabric and DRAM cycles.
+     */
+    RemoteLeg
+    execRemoteFetch(ShardOp &op, MshrTable::Ref mshr)
+    {
+        const RemoteLeg leg =
+            fetchRemote(op.time, op.node, op.home, op.addr, op.write);
+        op.done = op.time + op.partial + leg.net + cfg_.l2LatencyCycles +
+                  leg.dram;
+        insertPending(op.node, mshr, op.addr, op.time, op.done);
+        return leg;
+    }
+    /** Writeback: fire-and-forget fabric and home DRAM booking. */
+    void
+    execWriteback(ShardOp &op)
+    {
+        net_->routeDelay(op.time, op.node, op.home, op.bytes);
+        dramFor(op.home, op.addr).book(op.time, op.bytes);
+        op.done = op.time;
+    }
+
+    /**
+     * Queue @p op on deferred @p lane. Later same-sector accesses of the
+     * window join a fetch (see inflight).
+     */
+    ShardAccess
+    defer(AccessLane &lane, ShardOp op)
+    {
+        op.seq = lane.seq++;
+        const auto idx = static_cast<uint32_t>(lane.ops.size());
+        lane.ops.push_back(op);
+        if (op.kind != ShardOpKind::Writeback)
+            lane.inflight.emplace(op.addr, idx);
+        return {0, idx};
+    }
+
+    /**
+     * Home of @p addr's page, kInvalidNode when unmapped. An immediate
+     * lane fills the translation TLB; a deferred one only reads it.
+     */
+    NodeId
+    translate(const AccessLane &lane, Addr addr) const
+    {
+        return lane.immediate ? pageTable_.lookup(addr)
+                              : pageTable_.lookupNoFill(addr);
+    }
+
     /** Early-out inline: the overwhelmingly common clean case is free. */
     void
-    handleEviction(Cycles now, NodeId node, const EvictInfo &ev)
+    evict(AccessLane &lane, Cycles now, NodeId node, const EvictInfo &ev)
     {
         if (!ev.evicted || ev.dirtyMask == 0)
             return;
-        handleDirtyEviction(now, node, ev);
+        writeBack(lane, now, node, ev);
     }
-    void handleDirtyEviction(Cycles now, NodeId node, const EvictInfo &ev);
-
-    /** Deferred-path twin: resolves the victim's home without touching
-     *  the TLB and defers cross-node writebacks into @p lane. */
-    void shardHandleEviction(ShardLane &lane, Cycles now, NodeId node,
-                             const EvictInfo &ev);
-    /** Serial phase: requester-side L2 onward for an Untranslated op. */
-    void finishShardFetch(ShardOp &op);
-    /** Serial phase: fetchRemote() for a deferred op, then its MSHR. */
-    void execRemoteLeg(ShardOp &op);
+    /** Book a dirty victim's writeback at its home (a Writeback op when
+     *  the home is remote). */
+    void writeBack(AccessLane &lane, Cycles now, NodeId node,
+                   const EvictInfo &ev);
 
     /**
      * Requester-side L2 probe, counted by traffic class: the dynamic
@@ -428,12 +505,6 @@ class MemorySystem
         return d;
     }
 
-    /** Fabric and DRAM cycles of a remote fetch (home L2 latency aside). */
-    struct RemoteLeg
-    {
-        Cycles net = 0;
-        Cycles dram = 0;
-    };
     /**
      * Remote fetch of a sector homed at @p home: request leg, home L2,
      * home DRAM on a miss, response leg. Counts the home-side traffic
@@ -474,18 +545,22 @@ class MemorySystem
             ++ctr_[origin].clsHit[c];
     }
 
-    /** Cold helpers: decompose a completed access for attribution. */
-    void obsL1Hit(NodeId node);
-    void obsMerge(NodeId node, Cycles xbar, Cycles wait, Cycles total);
-    void obsL2Hit(NodeId node, NodeId home, Cycles xbar, Cycles fault,
-                  Cycles total);
-    void obsMiss(NodeId node, NodeId home, Cycles xbar, Cycles fault,
-                 Cycles l2, Cycles ring, Cycles link, Cycles dram,
-                 Cycles total);
+    /**
+     * Cold helper: decompose a completed access of @p total cycles for
+     * attribution. @p home is kInvalidNode for an access that ended
+     * before translation (no traffic class); a component left at zero
+     * is one the access never touched.
+     */
+    void obsAccess(NodeId node, NodeId home, Cycles total, Cycles xbar = 0,
+                   Cycles wait = 0, Cycles fault = 0, Cycles l2 = 0,
+                   Cycles ring = 0, Cycles link = 0, Cycles dram = 0);
 
     const SystemConfig cfg_;
     PageTable pageTable_;
     Uvm uvm_;
+    /** The serial loop's lane (made immediate by the constructor); also
+     *  the context the barrier phase executes deferred ops in. */
+    AccessLane immediate_;
 
     /**
      * Channel-interleave at line granularity with a spreading hash. The

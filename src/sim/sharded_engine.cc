@@ -3,19 +3,21 @@
  * The sharded conservative-PDES kernel event loop.
  *
  * The serial loop (kernel_engine.cc) drives one heap-mode lane over the
- * whole machine. This loop instead partitions the machine by NUMA node:
- * each node gets its own lane (sim/engine_internal.hh: the same TB
- * admit, warp retire and step completion, over a calendar event queue)
- * plus a MemorySystem shard lane, and lanes are grouped onto worker
- * threads ("shards") by sched/shard_map.hh. Threads synchronize on
- * conservative time windows (classic PDES): no cross-node transfer
- * completes in less than the minimum cross-node link latency L, so
- * every lane may simulate [W, W+L) without seeing the others.
- * Cross-node memory work issued in a window is deferred
- * (MemorySystem::shardAccess) and executed in a canonical
- * shard-count-independent order at the window barrier
- * (MemorySystem::executeShardOps); the steps that waited on it resolve
- * right after, in the same window.
+ * whole machine, with MemorySystem's immediate access lane. This loop
+ * instead partitions the machine by NUMA node: each node gets its own
+ * lane (sim/engine_internal.hh: the same TB admit, warp retire and step
+ * completion, over a calendar event queue) plus a deferred
+ * MemorySystem::AccessLane, and lanes are grouped onto worker threads
+ * ("shards") by sched/shard_map.hh. Threads synchronize on conservative
+ * time windows (classic PDES): no cross-node transfer completes in less
+ * than the minimum cross-node link latency L, so every lane may
+ * simulate [W, W+L) without seeing the others. The access body is the
+ * serial loop's (MemorySystem::access); only its cross-node steps are
+ * deferred, and executed in a canonical shard-count-independent order
+ * at the window barrier (MemorySystem::executeShardOps); the steps that
+ * waited on them resolve right after, in the same window. The invariant
+ * suite runs here too: a no-progress watchdog per lane, and the drain
+ * check both loops share.
  *
  * Window loop, two barriers per window:
  *
@@ -47,6 +49,7 @@
 #include <chrono>
 #include <memory>
 
+#include "check/invariants.hh"
 #include "common/spin_barrier.hh"
 #include "common/thread_pool.hh"
 #include "obs/timeline.hh"
@@ -88,7 +91,9 @@ struct PdesLane : Lane
 {
     using Lane::Lane;
 
-    MemorySystem::ShardLane mlane;
+    MemorySystem::AccessLane mlane;
+    /** The invariant suite's watchdog stopped this lane. */
+    bool hung = false;
     std::vector<Waiter> waiters;
     std::vector<uint32_t> waiterOps;
     std::vector<MemAccess> buf;
@@ -114,16 +119,26 @@ KernelEngine::runSharded(const LaunchDims &dims, TraceSource &trace,
     for (NodeId n = 0; n < num_nodes; ++n) {
         pdes_lanes.push_back(std::make_unique<PdesLane>(
             spec, n, n + 1, EventQueue::Mode::Calendar, start, nullptr));
-        pdes_lanes.back()->mlane.node = n;
         lanes.push_back(pdes_lanes.back().get());
     }
 
-    // Phase P: run one lane up to (exclusive) the window end.
+    // No-progress watchdog (opt-in, see Lane::stalled), per lane: a
+    // hung lane never reaches its window end, so it must stop itself.
+    const bool check_on = check::enabled();
+    const uint64_t watchdog_limit = check_on ? check::watchdogLimit() : 0;
+
+    // Phase P: run one lane up to (exclusive) the window end. A lane the
+    // watchdog stops keeps its event held: resolve() re-files it, so
+    // the lane is at a safe point when the run ends at the barrier.
     auto processWindow = [&](PdesLane &ln, TraceSource &tr, Cycles wend) {
         for (;;) {
             ln.hold();
             if (ln.headTime() >= wend)
                 break;
+            if (check_on && ln.stalled(ln.held.time, watchdog_limit)) {
+                ln.hung = true;
+                break;
+            }
             const WarpEvent ev = ln.held;
             ln.hasHeld = false;
             const WarpState &w = ln.warps[ev.warp];
@@ -139,7 +154,7 @@ KernelEngine::runSharded(const LaunchDims &dims, TraceSource &trace,
             const auto op_off =
                 static_cast<uint32_t>(ln.waiterOps.size());
             for (const auto &a : ln.buf) {
-                const MemorySystem::ShardAccess r = mem_.shardAccess(
+                const MemorySystem::ShardAccess r = mem_.access(
                     ln.mlane, ev.time, w.sm, a.addr, a.write);
                 if (r.deferred())
                     ln.waiterOps.push_back(r.op);
@@ -228,6 +243,7 @@ KernelEngine::runSharded(const LaunchDims &dims, TraceSource &trace,
 
     bool interrupted = false;
     Cycles interrupted_at = 0;
+    const PdesLane *hung = nullptr;
 
     if (run_windows) {
         bool finished = false;
@@ -272,7 +288,18 @@ KernelEngine::runSharded(const LaunchDims &dims, TraceSource &trace,
                 finished = true;
             else
                 window_end = std::max(window_end, head) + lookahead_;
-            if (ckpt_ && !finished && ckpt_->pending(boundary)) {
+            for (const auto &ln : pdes_lanes) {
+                if (ln->hung && !hung)
+                    hung = ln.get();
+            }
+            if (hung) {
+                // Watchdog: end the run here and leave a replayable
+                // post-mortem checkpoint; the violation is thrown on the
+                // caller thread once the pool drains.
+                finished = true;
+                if (ckpt_)
+                    ckpt_->postMortem(boundary, save);
+            } else if (ckpt_ && !finished && ckpt_->pending(boundary)) {
                 if (ckpt_->capture(boundary, save)) {
                     // Stop requested: end the window loop on every
                     // shard; the unwinding throw happens on the caller
@@ -317,8 +344,9 @@ KernelEngine::runSharded(const LaunchDims &dims, TraceSource &trace,
         };
 
         // Workers must not throw (ThreadPool contract) and cannot: all
-        // input validation ran in run() before dispatch, and the loop
-        // body allocates only through vectors sized by the workload.
+        // input validation ran in run() before dispatch, the loop body
+        // allocates only through vectors sized by the workload, and the
+        // watchdog and the checkpoint stop only flag the run to end.
         ThreadPool pool(num_shards - 1);
         for (int s = 1; s < num_shards; ++s)
             pool.submit([&shardLoop, s] { shardLoop(s); });
@@ -326,10 +354,12 @@ KernelEngine::runSharded(const LaunchDims &dims, TraceSource &trace,
         pool.wait();
     }
 
+    if (hung)
+        throw hung->noProgress();
     if (interrupted)
         throw snapshot::Interrupted(ckpt_->outPath(), interrupted_at);
 
-    return finishRun(dims, trace, start, lanes);
+    return finishRun(dims, trace, start, tb_warps_left, lanes);
 }
 
 } // namespace ladm

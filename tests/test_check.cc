@@ -173,9 +173,11 @@ TEST(FaultPlan, ValidateAgainstMachineShape)
                      .validateAgainst(cfg)
                      .empty());
     std::string all;
-    for (int n = 0; n < cfg.numNodes(); ++n)
-        all += (n ? ";" : "") + std::string("chiplet:") +
-               std::to_string(n) + ":fail@0";
+    for (int n = 0; n < cfg.numNodes(); ++n) {
+        if (n)
+            all += ';';
+        all += "chiplet:" + std::to_string(n) + ":fail@0";
+    }
     EXPECT_FALSE(
         check::FaultPlan::parse(all).validateAgainst(cfg).empty());
 }
@@ -301,22 +303,39 @@ TEST(CheckSuite, WatchdogAbortsHungKernel)
     check::ScopedEnable on;
     const uint64_t saved = check::watchdogLimit();
     check::setWatchdogLimit(10'000);
-    auto cfg = presets::monolithic256();
-    cfg.computeGapCycles = 0;
-    GpuSystem sys(cfg);
-    sys.mem().pageTable().place(0, 1ull << 30, 0);
-    HangingTrace trace;
-    LaunchDims dims;
-    dims.grid = {1, 1};
-    dims.block = {32, 1};
-    KernelWideScheduler sched;
-    try {
-        sys.runKernel(dims, trace, sched.assign(dims, cfg),
-                      L2InsertPolicy::RTwice);
-        FAIL() << "a hung kernel ran to completion";
-    } catch (const InvariantViolation &e) {
-        EXPECT_NE(std::string(e.what()).find("no progress"),
-                  std::string::npos);
+    // Once on the serial loop, once on the sharded PDES loop: there the
+    // stuck lane never reaches its window end, so its own watchdog must
+    // stop it, and the violation surfaces on the caller thread once the
+    // workers drain.
+    for (const int shards : {1, 4}) {
+        SCOPED_TRACE("shards " + std::to_string(shards));
+        auto cfg = shards == 1 ? presets::monolithic256()
+                               : presets::multiGpu4x4();
+        cfg.shards = shards;
+        cfg.computeGapCycles = 0;
+        GpuSystem sys(cfg);
+        ASSERT_EQ(sys.engineShards(), shards);
+        sys.mem().pageTable().place(0, 1ull << 30, 0);
+        HangingTrace trace, t1, t2, t3;
+        std::vector<TraceSource *> shard_traces;
+        if (shards > 1)
+            shard_traces = {&t1, &t2, &t3};
+        LaunchDims dims;
+        dims.grid = {shards == 1 ? 1 : 16, 1};
+        dims.block = {32, 1};
+        KernelWideScheduler sched;
+        try {
+            sys.runKernel(dims, trace, sched.assign(dims, cfg),
+                          L2InsertPolicy::RTwice, true, shard_traces);
+            FAIL() << "a hung kernel ran to completion";
+        } catch (const InvariantViolation &e) {
+            EXPECT_NE(std::string(e.what()).find("no progress"),
+                      std::string::npos);
+        }
+        if (shards > 1) {
+            EXPECT_EQ(sys.engine().pdesFallback(),
+                      KernelEngine::PdesFallback::None);
+        }
     }
     check::setWatchdogLimit(saved);
 }

@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "check/invariants.hh"
 #include "config/presets.hh"
 #include "core/experiment.hh"
 #include "core/metrics.hh"
@@ -336,10 +335,7 @@ TEST(EngineGolden, PageRankPinnedAtShardsOneAndFour)
     // PageRank warps retire after differing step counts, so TB admit,
     // warp retire and step completion interleave throughout the run.
     // Shard-count invariance alone cannot catch a change to the sharded
-    // schedule that is the same at every count; these pins can. The
-    // invariant suite would force the serial loop, so it stays off
-    // whatever LADM_CHECK says.
-    check::ScopedEnable checks_off(false);
+    // schedule that is the same at every count; these pins can.
     const struct
     {
         int shards;

@@ -105,6 +105,23 @@ class SnapshotTest : public ::testing::Test
     }
 };
 
+/** Four steps of one sector per warp, each TB on its own page. */
+class TinyTrace : public TraceSource
+{
+  public:
+    bool
+    warpStep(TbId tb, int, int64_t step,
+             std::vector<MemAccess> &out) override
+    {
+        if (step >= 4)
+            return false;
+        out.push_back({static_cast<Addr>(tb) * 4096 +
+                           static_cast<Addr>(step) * 32,
+                       false});
+        return true;
+    }
+};
+
 RunMetrics
 runOnce(const char *workload, int shards, double scale, int launches = 1,
         SystemConfig cfg = presets::multiGpu4x4())
@@ -343,20 +360,30 @@ TEST_F(SnapshotTest, CheckpointFromOtherLoopRefused)
 {
     // The fingerprint pins the shard count, so the reachable way to
     // meet a checkpoint from the other loop is a sharded image resumed
-    // with the invariant suite armed: the suite forces the serial loop.
+    // by a caller that hands the engine no per-shard trace instances:
+    // that forces the serial loop.
     const std::string ckpt = tmpPath("sharded.ckpt");
-    {
-        check::ScopedEnable off(false);
-        snapshot::options().out = ckpt;
-        snapshot::options().testStopAt = 1000;
-        EXPECT_THROW(runOnce("PageRank", 4, 0.1), snapshot::Interrupted);
-    }
+    snapshot::options().out = ckpt;
+    snapshot::options().testStopAt = 1000;
+    EXPECT_THROW(runOnce("PageRank", 4, 0.1), snapshot::Interrupted);
 
     snapshot::resetForTest();
     snapshot::options().resume = ckpt;
-    check::ScopedEnable on;
+    SystemConfig cfg = presets::multiGpu4x4();
+    cfg.shards = 4;
+    auto chk = snapshot::makeRunCheckpointer(cfg);
+    ASSERT_NE(chk, nullptr);
+    GpuSystem sys(cfg);
+    sys.attachCheckpointer(chk.get());
+    LaunchDims dims;
+    dims.grid = {32, 1};
+    dims.block = {128, 1};
+    KernelWideScheduler sched;
+    TinyTrace trace;
     try {
-        runOnce("PageRank", 4, 0.1);
+        sys.runKernel(dims, trace, sched.assign(dims, cfg),
+                      L2InsertPolicy::RTwice, /*flush_caches=*/false,
+                      /*shard_traces=*/{}, /*resume=*/true);
         FAIL() << "a sharded checkpoint resumed on the serial loop";
     } catch (const SimError &e) {
         EXPECT_EQ(e.kind(), SimError::Kind::Config);
@@ -365,6 +392,8 @@ TEST_F(SnapshotTest, CheckpointFromOtherLoopRefused)
         EXPECT_EQ(e.diagnostics()[0].field, "checkpoint.engine");
         EXPECT_EQ(e.diagnostics()[0].value, "sharded PDES");
     }
+    EXPECT_EQ(sys.engine().pdesFallback(),
+              KernelEngine::PdesFallback::MissingShardTraces);
 }
 
 TEST_F(SnapshotTest, OldFormatVersionRefused)
@@ -493,22 +522,6 @@ TEST_F(SnapshotTest, AtomicWriteReplacesNotAppends)
 
 // --- PDES fallback diagnostic ----------------------------------------------
 
-class TinyTrace : public TraceSource
-{
-  public:
-    bool
-    warpStep(TbId tb, int, int64_t step,
-             std::vector<MemAccess> &out) override
-    {
-        if (step >= 4)
-            return false;
-        out.push_back({static_cast<Addr>(tb) * 4096 +
-                           static_cast<Addr>(step) * 32,
-                       false});
-        return true;
-    }
-};
-
 TEST_F(SnapshotTest, PdesFallbackDiagnosticForFaultedShardedConfig)
 {
     // --shards 4 plus fault injection: the engine must fall back to the
@@ -565,35 +578,49 @@ TEST_F(SnapshotTest, WatchdogDumpsReplayableCheckpoint)
     const uint64_t saved = check::watchdogLimit();
     check::setWatchdogLimit(10'000);
 
-    const std::string ckpt = tmpPath("hung.ckpt");
-    snapshot::options().out = ckpt;
-    snapshot::options().every = 1u << 30; // armed, but never periodic
+    // Once on the serial loop, once on the sharded one (whose stuck
+    // lane stops itself and leaves the dump to the window barrier).
+    for (const int shards : {1, 4}) {
+        SCOPED_TRACE("shards " + std::to_string(shards));
+        snapshot::resetForTest();
+        const std::string ckpt = tmpPath("hung.ckpt");
+        std::remove((ckpt + ".postmortem").c_str());
+        snapshot::options().out = ckpt;
+        snapshot::options().every = 1u << 30; // armed, but never periodic
 
-    SystemConfig cfg = presets::monolithic256();
-    cfg.computeGapCycles = 0;
-    auto chk = snapshot::makeRunCheckpointer(cfg);
-    ASSERT_NE(chk, nullptr);
+        SystemConfig cfg = shards == 1 ? presets::monolithic256()
+                                       : presets::multiGpu4x4();
+        cfg.shards = shards;
+        cfg.computeGapCycles = 0;
+        auto chk = snapshot::makeRunCheckpointer(cfg);
+        ASSERT_NE(chk, nullptr);
 
-    GpuSystem sys(cfg);
-    sys.attachCheckpointer(chk.get());
-    sys.mem().pageTable().place(0, 1ull << 30, 0);
-    HangingTrace trace;
-    LaunchDims dims;
-    dims.grid = {1, 1};
-    dims.block = {32, 1};
-    KernelWideScheduler sched;
-    EXPECT_THROW(sys.runKernel(dims, trace, sched.assign(dims, cfg),
-                               L2InsertPolicy::RTwice),
-                 InvariantViolation);
+        GpuSystem sys(cfg);
+        ASSERT_EQ(sys.engineShards(), shards);
+        sys.attachCheckpointer(chk.get());
+        sys.mem().pageTable().place(0, 1ull << 30, 0);
+        HangingTrace trace, t1, t2, t3;
+        std::vector<TraceSource *> shard_traces;
+        if (shards > 1)
+            shard_traces = {&t1, &t2, &t3};
+        LaunchDims dims;
+        dims.grid = {shards == 1 ? 1 : 16, 1};
+        dims.block = {32, 1};
+        KernelWideScheduler sched;
+        EXPECT_THROW(sys.runKernel(dims, trace, sched.assign(dims, cfg),
+                                   L2InsertPolicy::RTwice, true,
+                                   shard_traces),
+                     InvariantViolation);
+
+        // The hang left a complete, valid checkpoint behind for offline
+        // replay with --resume <path>.postmortem --check.
+        const std::string pm = slurp(ckpt + ".postmortem");
+        ASSERT_FALSE(pm.empty());
+        serial::Reader r(pm);
+        EXPECT_TRUE(r.hasSection(snapshot::kMeta));
+        EXPECT_TRUE(r.hasSection(snapshot::kEngine));
+    }
     check::setWatchdogLimit(saved);
-
-    // The hang left a complete, valid checkpoint behind for offline
-    // replay with --resume <path>.postmortem --check.
-    const std::string pm = slurp(ckpt + ".postmortem");
-    ASSERT_FALSE(pm.empty());
-    serial::Reader r(pm);
-    EXPECT_TRUE(r.hasSection(snapshot::kMeta));
-    EXPECT_TRUE(r.hasSection(snapshot::kEngine));
 }
 
 // --- resumable sweep journal ------------------------------------------------
