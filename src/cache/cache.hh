@@ -32,11 +32,6 @@ namespace telemetry
 class StatRegistry;
 }
 
-namespace serial
-{
-class Writer;
-class Reader;
-} // namespace serial
 
 /** Outcome of one cache lookup. */
 enum class AccessResult
@@ -135,8 +130,7 @@ class SectoredCache
     int assoc() const { return assoc_; }
 
     /** Checkpoint tags/metadata/LRU clock (snapshot/component_state.cc). */
-    void saveState(serial::Writer &w) const;
-    void loadState(serial::Reader &r);
+    template <class Ar> void io(Ar &ar);
 
   private:
     static constexpr int kSectorsPerLine =

@@ -172,6 +172,27 @@ Reader::str()
 }
 
 void
+Reader::mismatch(const std::string &what)
+{
+    throw SimError(
+        SimError::Kind::Config, "checkpoint state mismatch",
+        {{"checkpoint.state", what,
+          "restored structure must match the constructed simulator",
+          "the checkpoint was written by a different configuration or "
+          "build; re-run without --resume"}});
+}
+
+void
+Reader::expect(uint64_t got, uint64_t want, const char *what)
+{
+    if (got != want) {
+        mismatch(std::string(what) + ": checkpoint has " +
+                 std::to_string(got) + ", simulator has " +
+                 std::to_string(want));
+    }
+}
+
+void
 Reader::raw(void *p, size_t n)
 {
     if (cur_ + n > end_)

@@ -76,6 +76,9 @@ struct RunMetrics
 
     bool failed() const { return !error.empty(); }
 
+    /** The sweep journal's binary image (core/sweep_journal.cc). */
+    template <class Ar> void io(Ar &ar);
+
     /** Performance of this run relative to @p baseline (cycles ratio). */
     double
     speedupOver(const RunMetrics &baseline) const

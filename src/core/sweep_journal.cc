@@ -9,6 +9,50 @@
 
 namespace ladm
 {
+
+template <class Ar>
+void
+RunMetrics::io(Ar &ar)
+{
+    ar.str(workload);
+    ar.str(policy);
+    ar.str(system);
+    ar.str(scheduler);
+    ar.u8(insertPolicy);
+    ar.u64(cycles);
+    ar.u64(tbCount);
+    ar.u64(warpSteps);
+    ar.u64(sectorAccesses);
+    ar.f64(warpInstrs);
+    ar.u64(fetchLocal);
+    ar.u64(fetchRemote);
+    ar.vec(nodeFetchLocal);
+    ar.vec(nodeFetchRemote);
+    ar.f64(offChipPct);
+    ar.u64(interNodeBytes);
+    ar.u64(interGpuBytes);
+    ar.f64(l1HitRate);
+    ar.f64(l2HitRate);
+    ar.f64(l2Mpki);
+    ar.u64(uvmFaults);
+    for (uint64_t &v : classAccesses)
+        ar.u64(v);
+    for (double &v : classHitRate)
+        ar.f64(v);
+    ar.u64(rehomedPages);
+    ar.u64(failedNodeAccesses);
+    ar.u8(hasLatency);
+    for (obs::LatSummary &s : latency) {
+        ar.u64(s.samples);
+        ar.f64(s.mean);
+        ar.f64(s.p50);
+        ar.f64(s.p95);
+        ar.f64(s.p99);
+        ar.u64(s.max);
+    }
+    ar.str(error);
+}
+
 namespace core
 {
 
@@ -60,102 +104,6 @@ hexDecode(const std::string &hex, std::string &out)
 // byte-identical to the freshly-computed one in every sink.
 constexpr uint32_t kMetricsSection = 1;
 
-std::string
-packMetrics(const RunMetrics &m)
-{
-    serial::Writer w;
-    w.beginSection(kMetricsSection);
-    w.str(m.workload);
-    w.str(m.policy);
-    w.str(m.system);
-    w.str(m.scheduler);
-    w.u8(static_cast<uint8_t>(m.insertPolicy));
-    w.u64(m.cycles);
-    w.u64(m.tbCount);
-    w.u64(m.warpSteps);
-    w.u64(m.sectorAccesses);
-    w.f64(m.warpInstrs);
-    w.u64(m.fetchLocal);
-    w.u64(m.fetchRemote);
-    w.vec(m.nodeFetchLocal);
-    w.vec(m.nodeFetchRemote);
-    w.f64(m.offChipPct);
-    w.u64(m.interNodeBytes);
-    w.u64(m.interGpuBytes);
-    w.f64(m.l1HitRate);
-    w.f64(m.l2HitRate);
-    w.f64(m.l2Mpki);
-    w.u64(m.uvmFaults);
-    for (const uint64_t v : m.classAccesses)
-        w.u64(v);
-    for (const double v : m.classHitRate)
-        w.f64(v);
-    w.u64(m.rehomedPages);
-    w.u64(m.failedNodeAccesses);
-    w.u8(m.hasLatency ? 1 : 0);
-    for (const obs::LatSummary &s : m.latency) {
-        w.u64(s.samples);
-        w.f64(s.mean);
-        w.f64(s.p50);
-        w.f64(s.p95);
-        w.f64(s.p99);
-        w.u64(s.max);
-    }
-    w.str(m.error);
-    w.endSection();
-    return w.finish(0);
-}
-
-/** False (cell re-runs) when the blob fails to parse. */
-bool
-unpackMetrics(const std::string &blob, RunMetrics &m)
-{
-    try {
-        serial::Reader r(blob);
-        r.openSection(kMetricsSection);
-        m.workload = r.str();
-        m.policy = r.str();
-        m.system = r.str();
-        m.scheduler = r.str();
-        m.insertPolicy = static_cast<L2InsertPolicy>(r.u8());
-        m.cycles = r.u64();
-        m.tbCount = r.u64();
-        m.warpSteps = r.u64();
-        m.sectorAccesses = r.u64();
-        m.warpInstrs = r.f64();
-        m.fetchLocal = r.u64();
-        m.fetchRemote = r.u64();
-        r.vec(m.nodeFetchLocal);
-        r.vec(m.nodeFetchRemote);
-        m.offChipPct = r.f64();
-        m.interNodeBytes = r.u64();
-        m.interGpuBytes = r.u64();
-        m.l1HitRate = r.f64();
-        m.l2HitRate = r.f64();
-        m.l2Mpki = r.f64();
-        m.uvmFaults = r.u64();
-        for (uint64_t &v : m.classAccesses)
-            v = r.u64();
-        for (double &v : m.classHitRate)
-            v = r.f64();
-        m.rehomedPages = r.u64();
-        m.failedNodeAccesses = r.u64();
-        m.hasLatency = r.u8() != 0;
-        for (obs::LatSummary &s : m.latency) {
-            s.samples = r.u64();
-            s.mean = r.f64();
-            s.p50 = r.f64();
-            s.p95 = r.f64();
-            s.p99 = r.f64();
-            s.max = r.u64();
-        }
-        m.error = r.str();
-        return true;
-    } catch (const std::exception &) {
-        return false;
-    }
-}
-
 } // namespace
 
 std::string
@@ -206,13 +154,20 @@ SweepJournal::replay()
         } else if (verb == "done") {
             ls >> hexblob;
             std::string blob;
-            RunMetrics m;
-            if (hexDecode(hexblob, blob) && unpackMetrics(blob, m)) {
-                done_[key] = std::move(m);
-                inFlight_.erase(key);
-            } else {
+            if (!hexDecode(hexblob, blob)) {
                 ++skipped;
+                continue;
             }
+            RunMetrics m;
+            try {
+                serial::Reader r(std::move(blob));
+                r.section(kMetricsSection, [&] { r.io(m); });
+            } catch (const std::exception &) {
+                ++skipped; // the cell re-runs
+                continue;
+            }
+            done_[key] = std::move(m);
+            inFlight_.erase(key);
         } else {
             ++skipped;
         }
@@ -265,7 +220,9 @@ void
 SweepJournal::noteDone(const std::string &key, const RunMetrics &m)
 {
     std::lock_guard<std::mutex> lk(mu_);
-    append("done " + hexEncode(key) + " " + hexEncode(packMetrics(m)));
+    serial::Writer w;
+    w.section(kMetricsSection, [&] { w.io(m); });
+    append("done " + hexEncode(key) + " " + hexEncode(w.finish(0)));
     done_[key] = m;
 }
 

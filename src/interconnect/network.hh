@@ -56,11 +56,6 @@ namespace telemetry
 class StatRegistry;
 }
 
-namespace serial
-{
-class Writer;
-class Reader;
-} // namespace serial
 
 class Network
 {
@@ -113,8 +108,7 @@ class Network
     void resetStats();
 
     /** Checkpoint the byte totals, then every link in table order. */
-    void saveState(serial::Writer &w) const;
-    void loadState(serial::Reader &r);
+    template <class Ar> void io(Ar &ar);
 
   private:
     /** A node's place in the fabric, hoisted out of the hot path. */

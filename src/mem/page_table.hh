@@ -42,11 +42,6 @@
 namespace ladm
 {
 
-namespace serial
-{
-class Writer;
-class Reader;
-} // namespace serial
 
 class PageTable
 {
@@ -174,8 +169,7 @@ class PageTable
      * stats, so restoring with a cold TLB would diverge from the
      * uninterrupted run.
      */
-    void saveState(serial::Writer &w) const;
-    void loadState(serial::Reader &r);
+    template <class Ar> void io(Ar &ar);
 
   private:
     enum class SegKind : uint8_t

@@ -30,11 +30,6 @@
 namespace ladm
 {
 
-namespace serial
-{
-class Writer;
-class Reader;
-} // namespace serial
 
 namespace obs
 {
@@ -85,8 +80,7 @@ class Timeline
      * (snapshot/component_state.cc) so a resumed run's telescoping sums
      * stay bit-exact.
      */
-    void saveState(serial::Writer &w) const;
-    void loadState(serial::Reader &r);
+    template <class Ar> void io(Ar &ar);
 
   private:
     void tick(Cycles now);

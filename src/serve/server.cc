@@ -131,15 +131,17 @@ Server::shutdown()
         return;
     }
 
-    // 1. Stop accepting. Closing the fd pops the accept thread out of
-    //    poll/accept.
-    if (listenFd_ >= 0) {
+    // 1. Stop accepting. Shutting the socket down pops the accept thread
+    //    out of poll/accept; the fd is closed only after the join, so
+    //    the thread never sees listenFd_ change or its number reused.
+    if (listenFd_ >= 0)
         ::shutdown(listenFd_, SHUT_RDWR);
+    if (acceptThread_.joinable())
+        acceptThread_.join();
+    if (listenFd_ >= 0) {
         ::close(listenFd_);
         listenFd_ = -1;
     }
-    if (acceptThread_.joinable())
-        acceptThread_.join();
 
     // 2. Finish what was admitted. Connection threads still waiting on
     //    their Pending get answers (new submissions now shed as

@@ -17,7 +17,6 @@
 #include <array>
 #include <cstdint>
 #include <limits>
-#include <type_traits>
 #include <vector>
 
 #include "common/sim_error.hh"
@@ -52,10 +51,6 @@ struct SmState
     int freeWarpSlots = 0;
 };
 
-// Checkpointed as raw arrays (Lane::save), so no padding bytes.
-static_assert(std::has_unique_object_representations_v<WarpState> &&
-              std::has_unique_object_representations_v<SmState>);
-
 /** Launch facts shared by every lane of one run(). */
 struct LaneSpec
 {
@@ -79,7 +74,7 @@ struct LaneSpec
 };
 
 /**
- * save() is valid only at a safe point, where no step of the lane waits
+ * io() is valid only at a safe point, where no step of the lane waits
  * on memory. Lanes never move: @p live_hist, or the lane's own
  * histogram when null, receives every step latency.
  */
@@ -219,8 +214,7 @@ struct alignas(64) Lane
     InvariantViolation noProgress() const;
 
     /** Checkpoint image of the lane's state (not its spec). */
-    void save(serial::Writer &w) const;
-    void load(serial::Reader &r);
+    template <class Ar> void io(Ar &ar);
 
     LaneSpec spec;
     NodeId nodeLo = 0;

@@ -45,11 +45,6 @@
 namespace ladm
 {
 
-namespace serial
-{
-class Writer;
-class Reader;
-} // namespace serial
 
 /** One pending wake-up: warp slot @p warp acts at cycle @p time. */
 struct WarpEvent
@@ -127,8 +122,7 @@ class EventQueue
      * is behavior-relevant (simultaneous accesses book bandwidth in pop
      * order), so restore must reproduce the exact internal layout.
      */
-    void saveState(serial::Writer &w) const;
-    void loadState(serial::Reader &r);
+    template <class Ar> void io(Ar &ar);
 
   private:
     struct Entry

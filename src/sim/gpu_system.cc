@@ -99,63 +99,35 @@ GpuSystem::runKernel(const LaunchDims &dims, TraceSource &trace,
     return s;
 }
 
+template <class Ar>
 void
-GpuSystem::saveState(serial::Writer &w) const
+GpuSystem::io(Ar &ar)
 {
-    w.beginSection(snapshot::kSystem);
-    w.u64(now_);
-    w.u32(static_cast<uint32_t>(kernelIndex_));
-    w.u64(kernelLog_.size());
-    for (const telemetry::KernelRecord &rec : kernelLog_) {
-        w.u32(static_cast<uint32_t>(rec.index));
-        w.u64(rec.startCycle);
-        w.u64(rec.endCycle);
-        rec.stats.saveState(w);
+    ar.section(snapshot::kSystem, [&] {
+        ar.u64(now_);
+        ar.u32(kernelIndex_);
+        ar.size(kernelLog_);
+        for (telemetry::KernelRecord &rec : kernelLog_) {
+            ar.u32(rec.index);
+            ar.u64(rec.startCycle);
+            ar.u64(rec.endCycle);
+            ar.io(rec.stats);
+        }
+        ar.io(kernelStartSnap_);
+    });
+    ar.section(snapshot::kMemory, [&] { ar.io(mem_); });
+    ar.section(snapshot::kRegistry, [&] { ar.io(reg_); });
+
+    obs::Timeline *timeline = obs_ ? obs_->timeline() : nullptr;
+    if constexpr (Ar::kLoading) {
+        if (!ar.hasSection(snapshot::kTimeline))
+            timeline = nullptr;
     }
-    kernelStartSnap_.saveState(w);
-    w.endSection();
-
-    w.beginSection(snapshot::kMemory);
-    mem_.saveState(w);
-    w.endSection();
-
-    w.beginSection(snapshot::kRegistry);
-    reg_.saveState(w);
-    w.endSection();
-
-    if (obs_ && obs_->timeline()) {
-        w.beginSection(snapshot::kTimeline);
-        obs_->timeline()->saveState(w);
-        w.endSection();
-    }
+    if (timeline)
+        ar.section(snapshot::kTimeline, [&] { ar.io(*timeline); });
 }
 
-void
-GpuSystem::loadState(serial::Reader &r)
-{
-    r.openSection(snapshot::kSystem);
-    now_ = r.u64();
-    kernelIndex_ = static_cast<int>(r.u32());
-    kernelLog_.resize(r.u64());
-    for (telemetry::KernelRecord &rec : kernelLog_) {
-        rec.index = static_cast<int>(r.u32());
-        rec.startCycle = r.u64();
-        rec.endCycle = r.u64();
-        rec.stats.loadState(r);
-    }
-    kernelStartSnap_.loadState(r);
-
-    r.openSection(snapshot::kMemory);
-    mem_.loadState(r);
-
-    r.openSection(snapshot::kRegistry);
-    reg_.loadState(r);
-
-    if (obs_ && obs_->timeline() &&
-        r.hasSection(snapshot::kTimeline)) {
-        r.openSection(snapshot::kTimeline);
-        obs_->timeline()->loadState(r);
-    }
-}
+template void GpuSystem::io(serial::Writer &);
+template void GpuSystem::io(serial::Reader &);
 
 } // namespace ladm

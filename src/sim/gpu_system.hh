@@ -25,11 +25,6 @@
 namespace ladm
 {
 
-namespace serial
-{
-class Writer;
-class Reader;
-} // namespace serial
 
 namespace snapshot
 {
@@ -79,8 +74,7 @@ class GpuSystem
      * run at an engine safe point (between events / at a window
      * barrier): no access is in flight, so component state is closed.
      */
-    void saveState(serial::Writer &w) const;
-    void loadState(serial::Reader &r);
+    template <class Ar> void io(Ar &ar);
 
     /** Resolved engine shard count (1 = serial reference loop). */
     int engineShards() const { return engine_.maxShards(); }

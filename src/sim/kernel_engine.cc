@@ -218,6 +218,9 @@ KernelEngine::run(const LaunchDims &dims, TraceSource &trace,
         }
     }
 
+    ladm_require(!resume || (ckpt_ && ckpt_->restorePending()),
+                 "engine resume requested with no restore armed");
+
     // Sharded conservative-PDES loop -- only when configured for >1
     // shard AND this run needs none of the serial-only machinery: event
     // tracing (the tracer sink is single-threaded), shard-incompatible
@@ -267,11 +270,11 @@ KernelEngine::run(const LaunchDims &dims, TraceSource &trace,
     // Checkpoint image, written at a safe point (top of the loop, before
     // the pop: the queue is consistent and no access is in flight).
     auto save = [&](serial::Writer &w) {
-        saveLoop(w, /*sharded=*/false, cur, tb_warps_left, lanes);
+        io(w, /*sharded=*/false, cur, tb_warps_left, lanes);
     };
 
     if (resume)
-        cur = loadLoop(/*sharded=*/false, tb_warps_left, lanes);
+        io(ckpt_->reader(), /*sharded=*/false, cur, tb_warps_left, lanes);
     else
         ln.admitAll(start);
 
@@ -413,71 +416,63 @@ KernelEngine::finishRun(const LaunchDims &dims, const TraceSource &trace,
 // kEngine section: loop kind, cumulative counters, the safe-point time,
 // the per-TB warp counts, then every lane. Restore reproduces it
 // verbatim -- the queues' internal layout in particular, since
-// equal-time pop order is behavior-relevant.
+// equal-time pop order is behavior-relevant. The Checkpointer frames
+// the section when writing.
+template <class Ar>
 void
-KernelEngine::saveLoop(serial::Writer &w, bool sharded, Cycles at,
-                       const std::vector<int> &tb_warps_left,
-                       const std::vector<Lane *> &lanes) const
+KernelEngine::io(Ar &ar, bool sharded, Cycles &at,
+                 std::vector<int> &tb_warps_left,
+                 const std::vector<Lane *> &lanes)
 {
-    w.u8(sharded ? 1 : 0);
-    w.u64(kernelsRun_);
-    w.u64(warpStepsTotal_);
-    w.u64(sectorAccessesTotal_);
-    w.u64(tbsDispatchedTotal_);
-    w.u64(pdesWindows_);
-    w.u64(pdesDeferredOps_);
-    w.u64(pdesLateEvents_);
+    if constexpr (Ar::kLoading)
+        ar.openSection(snapshot::kEngine);
+    bool image_sharded = sharded;
+    ar.u8(image_sharded);
+    if constexpr (Ar::kLoading) {
+        if (image_sharded != sharded) {
+            throw SimError(
+                SimError::Kind::Config, "checkpoint state mismatch",
+                {{"checkpoint.engine", loopName(image_sharded),
+                  std::string("the checkpoint was written by the ") +
+                      loopName(image_sharded) +
+                      " loop but this run resolves to the " +
+                      loopName(sharded) + " loop",
+                  "resume with the same --shards / tracing setup that "
+                  "produced the checkpoint"}});
+        }
+    }
+    ar.u64(kernelsRun_);
+    ar.u64(warpStepsTotal_);
+    ar.u64(sectorAccessesTotal_);
+    ar.u64(tbsDispatchedTotal_);
+    ar.u64(pdesWindows_);
+    ar.u64(pdesDeferredOps_);
+    ar.u64(pdesLateEvents_);
     // Wall-clock observability; restored so the gauge stays monotone,
     // but inherently not comparable across interrupted/uninterrupted
     // runs (docs/robustness.md).
-    w.vec(pdesBarrierNs_);
-    w.u64(at);
-    w.vec(tb_warps_left);
-    w.u64(lanes.size());
-    for (const Lane *ln : lanes)
-        ln->save(w);
-}
-
-Cycles
-KernelEngine::loadLoop(bool sharded, std::vector<int> &tb_warps_left,
-                       const std::vector<Lane *> &lanes)
-{
-    ladm_require(ckpt_ && ckpt_->restorePending(),
-                 "engine resume requested with no restore armed");
-    serial::Reader &r = ckpt_->reader();
-    r.openSection(snapshot::kEngine);
-    const bool found = r.u8() != 0;
-    if (found != sharded) {
-        throw SimError(
-            SimError::Kind::Config, "checkpoint state mismatch",
-            {{"checkpoint.engine", loopName(found),
-              std::string("the checkpoint was written by the ") +
-                  loopName(found) + " loop but this run resolves to the " +
-                  loopName(sharded) + " loop",
-              "resume with the same --shards / tracing setup that "
-              "produced the checkpoint"}});
-    }
-    kernelsRun_ = r.u64();
-    warpStepsTotal_ = r.u64();
-    sectorAccessesTotal_ = r.u64();
-    tbsDispatchedTotal_ = r.u64();
-    pdesWindows_ = r.u64();
-    pdesDeferredOps_ = r.u64();
-    pdesLateEvents_ = r.u64();
-    r.vec(pdesBarrierNs_);
+    ar.vec(pdesBarrierNs_);
     // The barrier gauges index by original shard count; never let a
     // (fingerprint-colliding) image change the vector's length.
-    pdesBarrierNs_.resize(static_cast<size_t>(maxShards_), 0);
-    const Cycles at = r.u64();
-    r.vec(tb_warps_left);
-    ladm_require(r.u64() == lanes.size(),
-                 "checkpoint lane count mismatch");
+    if constexpr (Ar::kLoading)
+        pdesBarrierNs_.resize(static_cast<size_t>(maxShards_), 0);
+    ar.u64(at);
+    ar.vec(tb_warps_left);
+    ar.count(lanes.size(), "engine lanes");
     for (Lane *ln : lanes)
-        ln->load(r);
-    ckpt_->finishRestore();
-    ckpt_->noteResumed(at);
-    return at;
+        ar.io(*ln);
+    if constexpr (Ar::kLoading) {
+        ckpt_->finishRestore();
+        ckpt_->noteResumed(at);
+    }
 }
+
+template void KernelEngine::io(serial::Writer &, bool, Cycles &,
+                               std::vector<int> &,
+                               const std::vector<Lane *> &);
+template void KernelEngine::io(serial::Reader &, bool, Cycles &,
+                               std::vector<int> &,
+                               const std::vector<Lane *> &);
 
 namespace engine_detail
 {
@@ -540,47 +535,25 @@ Lane::noProgress() const
           "undispatched TBs are waiting on the stuck ones"}});
 }
 
+template <class Ar>
 void
-Lane::save(serial::Writer &w) const
+Lane::io(Ar &ar)
 {
-    w.vec(cursor);
-    w.vec(sms);
-    w.u8(hasHeld ? 1 : 0);
-    w.u64(held.time);
-    w.u32(held.warp);
-    w.vec(warps);
-    w.vec(freeWarps);
-    w.u64(warpSteps);
-    w.u64(sectorAccesses);
-    w.u64(totalStepLatency);
-    w.u64(maxStepLatency);
-    w.u64(endCycle);
-    w.u64(lateEvents);
-    ownHist.saveState(w);
-    pq.saveState(w);
-}
-
-void
-Lane::load(serial::Reader &r)
-{
-    const size_t nodes = cursor.size(), num_sms = sms.size();
-    r.vec(cursor);
-    r.vec(sms);
-    ladm_require(cursor.size() == nodes && sms.size() == num_sms,
-                 "checkpoint lane geometry mismatch");
-    hasHeld = r.u8() != 0;
-    held.time = r.u64();
-    held.warp = r.u32();
-    r.vec(warps);
-    r.vec(freeWarps);
-    warpSteps = r.u64();
-    sectorAccesses = r.u64();
-    totalStepLatency = r.u64();
-    maxStepLatency = r.u64();
-    endCycle = r.u64();
-    lateEvents = r.u64();
-    ownHist.loadState(r);
-    pq.loadState(r);
+    ar.vec(cursor, "lane TB cursors");
+    ar.vec(sms, "lane SMs");
+    ar.u8(hasHeld);
+    ar.u64(held.time);
+    ar.u32(held.warp);
+    ar.vec(warps);
+    ar.vec(freeWarps);
+    ar.u64(warpSteps);
+    ar.u64(sectorAccesses);
+    ar.u64(totalStepLatency);
+    ar.u64(maxStepLatency);
+    ar.u64(endCycle);
+    ar.u64(lateEvents);
+    ar.io(ownHist);
+    ar.io(pq);
 }
 
 } // namespace engine_detail

@@ -36,11 +36,6 @@ namespace obs
 {
 class Timeline;
 }
-namespace serial
-{
-class Writer;
-class Reader;
-} // namespace serial
 namespace snapshot
 {
 class Checkpointer;
@@ -165,16 +160,15 @@ class KernelEngine
         bool resume);
 
     /**
-     * The kEngine checkpoint image, one writer and one reader for both
-     * loops: which loop wrote it, cumulative counters, the safe-point
-     * time @p at, per-TB warp counts and every lane. loadLoop() refuses
-     * an image from the other loop and returns the safe-point time.
+     * The kEngine checkpoint image of either loop: which loop wrote it,
+     * cumulative counters, the safe-point time @p at, per-TB warp counts
+     * and every lane. Loading refuses an image from the other loop,
+     * restores @p at and closes the armed restore.
      */
-    void saveLoop(serial::Writer &w, bool sharded, Cycles at,
-                  const std::vector<int> &tb_warps_left,
-                  const std::vector<engine_detail::Lane *> &lanes) const;
-    Cycles loadLoop(bool sharded, std::vector<int> &tb_warps_left,
-                    const std::vector<engine_detail::Lane *> &lanes);
+    template <class Ar>
+    void io(Ar &ar, bool sharded, Cycles &at,
+            std::vector<int> &tb_warps_left,
+            const std::vector<engine_detail::Lane *> &lanes);
 
     /**
      * Fold the lanes into the launch's stats and count the kernel. With

@@ -348,8 +348,7 @@ class MemorySystem
      * (snapshot/component_state.cc). Must be called at an engine safe
      * point (no access in flight).
      */
-    void saveState(serial::Writer &w) const;
-    void loadState(serial::Reader &r);
+    template <class Ar> void io(Ar &ar);
 
   private:
     /**

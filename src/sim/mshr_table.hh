@@ -38,11 +38,6 @@
 namespace ladm
 {
 
-namespace serial
-{
-class Writer;
-class Reader;
-} // namespace serial
 
 class MshrTable
 {
@@ -211,8 +206,7 @@ class MshrTable
     }
 
     /** Checkpoint the slot array verbatim (snapshot/component_state.cc). */
-    void saveState(serial::Writer &w) const;
-    void loadState(serial::Reader &r);
+    template <class Ar> void io(Ar &ar);
 
   private:
     struct Slot

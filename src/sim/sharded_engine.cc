@@ -207,11 +207,12 @@ KernelEngine::runSharded(const LaunchDims &dims, TraceSource &trace,
     // the restored run's next window must batch deferred ops exactly as
     // the uninterrupted run's would.
     auto save = [&](serial::Writer &w) {
-        saveLoop(w, /*sharded=*/true, window_end, tb_warps_left, lanes);
+        io(w, /*sharded=*/true, window_end, tb_warps_left, lanes);
     };
 
     if (resume) {
-        window_end = loadLoop(/*sharded=*/true, tb_warps_left, lanes);
+        io(ckpt_->reader(), /*sharded=*/true, window_end, tb_warps_left,
+           lanes);
         // Mid-kernel checkpoints are only taken while events remain.
         run_windows = true;
     } else {

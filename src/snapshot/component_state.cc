@@ -1,32 +1,43 @@
 /**
  * @file
- * saveState()/loadState() definitions for every checkpointable simulator
- * component, gathered in one translation unit so the checkpoint format
- * has a single home: reading this file top to bottom walks the kMemory /
- * kRegistry payload byte for byte.
+ * io() definitions for every checkpointable simulator component,
+ * gathered in one translation unit so the checkpoint format has a single
+ * home: reading this file top to bottom walks the kMemory / kRegistry
+ * payload byte for byte.
+ *
+ * Each component describes its state once, in
+ * `template <class Ar> void io(Ar &ar)`: with a serial::Writer the body
+ * writes every field, with a serial::Reader it reads them back in the
+ * same order, so save and load cannot drift apart. The verbs name the
+ * wire width (common/serial.hh); work that only a load does -- range
+ * checks, unpacking, index rebuilds -- sits under
+ * `if constexpr (Ar::kLoading)`. The bodies are instantiated for both
+ * archives at the bottom of this file, so the component headers carry
+ * only a declaration.
  *
  * Conventions:
  *
  *  - Configuration-derived members (sizes, associativities, latencies,
  *    bucket widths) are NOT serialized; the config fingerprint in the
  *    header guarantees the restoring run derives identical values. Where
- *    cheap, a count is written anyway and validated on load so a
- *    fingerprint collision surfaces as a SimError, not memory stomping.
+ *    cheap, a count is written anyway and checked on load (count(), or
+ *    vec() with a name) so a fingerprint collision surfaces as a
+ *    SimError, not memory stomping.
  *  - Structs with padding (WarpEvent, TlbEntry, ...) and packed words
- *    (cache way state) are serialized field-wise; only padding-free
- *    trivially-copyable structs go through Writer::vec's raw memcpy.
+ *    (cache way state) are serialized field-wise; vec() memcpys only
+ *    padding-free elements, and refuses others at compile time.
  *  - Hash maps are written in iteration order. That order is not
  *    deterministic, but it is never behavior-relevant: both maps here
  *    (page exceptions, migration streaks) are key-probed only, and the
  *    restored map answers every probe identically.
  */
 
+#include <algorithm>
 #include <string>
 
 #include "cache/cache.hh"
 #include "common/rng.hh"
 #include "common/serial.hh"
-#include "common/sim_error.hh"
 #include "common/stats.hh"
 #include "interconnect/network.hh"
 #include "mem/dram.hh"
@@ -42,180 +53,80 @@
 namespace ladm
 {
 
-namespace
-{
-
-/** Structural mismatch AFTER the CRC/fingerprint checks passed. */
-[[noreturn]] void
-badState(const std::string &what)
-{
-    throw SimError(
-        SimError::Kind::Config, "checkpoint state mismatch",
-        {{"checkpoint.state", what,
-          "restored structure must match the constructed simulator",
-          "the checkpoint was written by a different configuration or "
-          "build; re-run without --resume"}});
-}
-
-void
-expectCount(uint64_t got, uint64_t want, const char *what)
-{
-    if (got != want) {
-        badState(std::string(what) + ": checkpoint has " +
-                 std::to_string(got) + ", simulator has " +
-                 std::to_string(want));
-    }
-}
-
-} // namespace
-
 // --- common/bandwidth_server.hh --------------------------------------------
 
+template <class Ar>
 void
-BandwidthServer::saveState(serial::Writer &w) const
+BandwidthServer::io(Ar &ar)
 {
-    w.u64(nextFree_);
-    w.f64(fracBusy_);
-    w.u64(totalBytes_);
-    w.u64(busyCycles_);
-}
-
-void
-BandwidthServer::loadState(serial::Reader &r)
-{
-    nextFree_ = r.u64();
-    fracBusy_ = r.f64();
-    totalBytes_ = r.u64();
-    busyCycles_ = r.u64();
+    ar.u64(nextFree_);
+    ar.f64(fracBusy_);
+    ar.u64(totalBytes_);
+    ar.u64(busyCycles_);
 }
 
 // --- common/rng.hh ----------------------------------------------------------
 
+template <class Ar>
 void
-Rng::saveState(serial::Writer &w) const
-{
-    for (const uint64_t s : state_)
-        w.u64(s);
-}
-
-void
-Rng::loadState(serial::Reader &r)
+Rng::io(Ar &ar)
 {
     for (uint64_t &s : state_)
-        s = r.u64();
+        ar.u64(s);
 }
 
 // --- common/stats.hh --------------------------------------------------------
 
+template <class Ar>
 void
-Counter::saveState(serial::Writer &w) const
+Counter::io(Ar &ar)
 {
-    w.u64(value_);
+    ar.u64(value_);
 }
 
+template <class Ar>
 void
-Counter::loadState(serial::Reader &r)
+Average::io(Ar &ar)
 {
-    value_ = r.u64();
+    ar.f64(sum_);
+    ar.u64(count_);
 }
 
+template <class Ar>
 void
-Average::saveState(serial::Writer &w) const
+Histogram::io(Ar &ar)
 {
-    w.f64(sum_);
-    w.u64(count_);
+    ar.u64(bucketWidth_);
+    ar.vec(buckets_);
+    ar.u64(overflow_);
+    ar.u64(total_);
+    ar.f64(sum_);
+    ar.u64(max_);
 }
 
+template <class Ar>
 void
-Average::loadState(serial::Reader &r)
-{
-    sum_ = r.f64();
-    count_ = r.u64();
-}
-
-void
-Histogram::saveState(serial::Writer &w) const
-{
-    w.u64(bucketWidth_);
-    w.vec(buckets_);
-    w.u64(overflow_);
-    w.u64(total_);
-    w.f64(sum_);
-    w.u64(max_);
-}
-
-void
-Histogram::loadState(serial::Reader &r)
-{
-    bucketWidth_ = r.u64();
-    r.vec(buckets_);
-    overflow_ = r.u64();
-    total_ = r.u64();
-    sum_ = r.f64();
-    max_ = r.u64();
-}
-
-void
-LogHistogram::saveState(serial::Writer &w) const
-{
-    for (const uint64_t b : buckets_)
-        w.u64(b);
-    w.u64(total_);
-    w.f64(sum_);
-    w.u64(min_);
-    w.u64(max_);
-}
-
-void
-LogHistogram::loadState(serial::Reader &r)
+LogHistogram::io(Ar &ar)
 {
     for (uint64_t &b : buckets_)
-        b = r.u64();
-    total_ = r.u64();
-    sum_ = r.f64();
-    min_ = r.u64();
-    max_ = r.u64();
+        ar.u64(b);
+    ar.u64(total_);
+    ar.f64(sum_);
+    ar.u64(min_);
+    ar.u64(max_);
 }
 
+template <class Ar>
 void
-StatGroup::saveState(serial::Writer &w) const
+StatGroup::io(Ar &ar)
 {
-    w.u64(counters_.size());
-    for (const auto &[name, c] : counters_) {
-        w.str(name);
-        c.saveState(w);
-    }
-    w.u64(averages_.size());
-    for (const auto &[name, a] : averages_) {
-        w.str(name);
-        a.saveState(w);
-    }
-    w.u64(histograms_.size());
-    for (const auto &[name, h] : histograms_) {
-        w.str(name);
-        h.saveState(w);
-    }
-    w.u64(logHistograms_.size());
-    for (const auto &[name, h] : logHistograms_) {
-        w.str(name);
-        h.saveState(w);
-    }
-}
-
-void
-StatGroup::loadState(serial::Reader &r)
-{
-    // Lazily-registered entries are re-created here; entries the
-    // restoring process registered but the checkpoint lacks keep their
-    // fresh (zero) state.
-    for (uint64_t n = r.u64(); n; --n)
-        counters_[r.str()].loadState(r);
-    for (uint64_t n = r.u64(); n; --n)
-        averages_[r.str()].loadState(r);
-    for (uint64_t n = r.u64(); n; --n)
-        histograms_[r.str()].loadState(r);
-    for (uint64_t n = r.u64(); n; --n)
-        logHistograms_[r.str()].loadState(r);
+    // Loading merges: lazily-registered entries are re-created, and
+    // entries the restoring process registered but the checkpoint lacks
+    // keep their fresh (zero) state.
+    ar.map(counters_, [&](Counter &c) { ar.io(c); });
+    ar.map(averages_, [&](Average &a) { ar.io(a); });
+    ar.map(histograms_, [&](Histogram &h) { ar.io(h); });
+    ar.map(logHistograms_, [&](LogHistogram &h) { ar.io(h); });
 }
 
 // --- telemetry/stat_registry.hh --------------------------------------------
@@ -223,47 +134,25 @@ StatGroup::loadState(serial::Reader &r)
 namespace telemetry
 {
 
+template <class Ar>
 void
-Snapshot::saveState(serial::Writer &w) const
+Snapshot::io(Ar &ar)
 {
-    w.u64(values.size());
-    for (const auto &[path, s] : values) {
-        w.str(path);
-        w.f64(s.value);
-        w.u8(static_cast<uint8_t>(s.kind));
-    }
+    if constexpr (Ar::kLoading)
+        values.clear();
+    ar.map(values, [&](Sample &s) {
+        ar.f64(s.value);
+        ar.u8(s.kind);
+    });
 }
 
+template <class Ar>
 void
-Snapshot::loadState(serial::Reader &r)
+StatRegistry::io(Ar &ar)
 {
-    values.clear();
-    for (uint64_t n = r.u64(); n; --n) {
-        std::string path = r.str();
-        Sample s;
-        s.value = r.f64();
-        s.kind = static_cast<StatKind>(r.u8());
-        values.emplace(std::move(path), s);
-    }
-}
-
-void
-StatRegistry::saveState(serial::Writer &w) const
-{
-    w.u64(groups_.size());
-    for (const auto &[path, g] : groups_) {
-        w.str(path);
-        g.saveState(w);
-    }
-}
-
-void
-StatRegistry::loadState(serial::Reader &r)
-{
-    for (uint64_t n = r.u64(); n; --n) {
-        const std::string path = r.str();
-        group(path).loadState(r);
-    }
+    ar.map(
+        groups_, [&](StatGroup &g) { ar.io(g); },
+        [&](const std::string &path) -> StatGroup & { return group(path); });
 }
 
 } // namespace telemetry
@@ -273,39 +162,22 @@ StatRegistry::loadState(serial::Reader &r)
 namespace obs
 {
 
+template <class Ar>
 void
-Timeline::saveState(serial::Writer &w) const
+Timeline::io(Ar &ar)
 {
-    w.u64(static_cast<uint64_t>(paths_.size()));
-    w.u64(windowCycles_);
-    w.u64(windowStart_);
-    w.u64(nextAt_);
-    w.u64(merges_);
-    w.u8(finished_ ? 1 : 0);
-    w.vec(lastVals_);
-    w.u64(windows_.size());
-    for (const TimelineWindow &win : windows_) {
-        w.u64(win.start);
-        w.u64(win.end);
-        w.vec(win.delta);
-    }
-}
-
-void
-Timeline::loadState(serial::Reader &r)
-{
-    expectCount(r.u64(), paths_.size(), "timeline paths");
-    windowCycles_ = r.u64();
-    windowStart_ = r.u64();
-    nextAt_ = r.u64();
-    merges_ = r.u64();
-    finished_ = r.u8() != 0;
-    r.vec(lastVals_);
-    windows_.resize(r.u64());
+    ar.count(paths_.size(), "timeline paths");
+    ar.u64(windowCycles_);
+    ar.u64(windowStart_);
+    ar.u64(nextAt_);
+    ar.u64(merges_);
+    ar.u8(finished_);
+    ar.vec(lastVals_);
+    ar.size(windows_);
     for (TimelineWindow &win : windows_) {
-        win.start = r.u64();
-        win.end = r.u64();
-        r.vec(win.delta);
+        ar.u64(win.start);
+        ar.u64(win.end);
+        ar.vec(win.delta);
     }
 }
 
@@ -313,98 +185,61 @@ Timeline::loadState(serial::Reader &r)
 
 // --- sim/event_queue.hh -----------------------------------------------------
 
+template <class Ar>
 void
-EventQueue::saveState(serial::Writer &w) const
+EventQueue::io(Ar &ar)
 {
-    w.u8(mode_ == Mode::Calendar ? 1 : 0);
-    w.u64(size_);
+    const bool calendar = mode_ == Mode::Calendar;
+    bool image_calendar = calendar;
+    ar.u8(image_calendar);
+    if constexpr (Ar::kLoading)
+        ar.expect(image_calendar, calendar, "event queue mode");
+    ar.u64(size_);
     // The heap vector's STRUCTURAL order (not just its multiset of
     // events) is serialized: equal-time pops follow the array layout.
-    w.u64(heap_.size());
-    for (const WarpEvent &e : heap_) {
-        w.u64(e.time);
-        w.u32(e.warp);
-    }
-    if (mode_ != Mode::Calendar)
-        return;
-    w.u64(cursor_);
-    w.u64(yearStart_);
-    w.u64(inYear_);
-    w.u64(seq_);
-    w.u64(overflow_.size());
-    for (const Entry &e : overflow_) {
-        w.u64(e.time);
-        w.u64(e.seq);
-        w.u32(e.warp);
-    }
-    w.u64(buckets_.size());
-    for (const auto &b : buckets_) {
-        w.u64(b.size());
-        for (const Entry &e : b) {
-            w.u64(e.time);
-            w.u64(e.seq);
-            w.u32(e.warp);
-        }
-    }
-}
-
-void
-EventQueue::loadState(serial::Reader &r)
-{
-    expectCount(r.u8(), mode_ == Mode::Calendar ? 1 : 0,
-                "event queue mode");
-    size_ = r.u64();
-    heap_.resize(r.u64());
+    ar.size(heap_);
     for (WarpEvent &e : heap_) {
-        e.time = r.u64();
-        e.warp = r.u32();
+        ar.u64(e.time);
+        ar.u32(e.warp);
     }
-    if (mode_ != Mode::Calendar)
+    if (!calendar)
         return;
-    cursor_ = r.u64();
-    yearStart_ = r.u64();
-    inYear_ = r.u64();
-    seq_ = r.u64();
-    overflow_.resize(r.u64());
-    for (Entry &e : overflow_) {
-        e.time = r.u64();
-        e.seq = r.u64();
-        e.warp = r.u32();
-    }
-    expectCount(r.u64(), buckets_.size(), "calendar buckets");
+    ar.u64(cursor_);
+    ar.u64(yearStart_);
+    ar.u64(inYear_);
+    ar.u64(seq_);
+    auto entry = [&](Entry &e) {
+        ar.u64(e.time);
+        ar.u64(e.seq);
+        ar.u32(e.warp);
+    };
+    ar.size(overflow_);
+    for (Entry &e : overflow_)
+        entry(e);
+    ar.count(buckets_.size(), "calendar buckets");
     for (auto &b : buckets_) {
-        b.resize(r.u64());
-        for (Entry &e : b) {
-            e.time = r.u64();
-            e.seq = r.u64();
-            e.warp = r.u32();
-        }
+        ar.size(b);
+        for (Entry &e : b)
+            entry(e);
     }
 }
 
 // --- sim/mshr_table.hh ------------------------------------------------------
 
+template <class Ar>
 void
-MshrTable::saveState(serial::Writer &w) const
+MshrTable::io(Ar &ar)
 {
-    w.vec(slots_); // Slot is {u64, u64}: no padding
-    w.u64(mask_);
-    w.u32(static_cast<uint32_t>(shift_));
-    w.u64(size_);
-    w.u64(gen_);
-}
-
-void
-MshrTable::loadState(serial::Reader &r)
-{
-    r.vec(slots_);
-    mask_ = r.u64();
-    shift_ = static_cast<int>(r.u32());
-    size_ = r.u64();
-    gen_ = r.u64();
-    genBase_ = gen_ << kGenShift;
-    if (slots_.empty() || (slots_.size() & mask_) != 0)
-        badState("MSHR table geometry");
+    ar.vec(slots_);
+    ar.u64(mask_);
+    ar.u32(shift_);
+    ar.u64(size_);
+    ar.u64(gen_);
+    if constexpr (Ar::kLoading) {
+        genBase_ = gen_ << kGenShift;
+        if (slots_.empty() || (slots_.size() & mask_) != 0)
+            ar.mismatch("MSHR table geometry");
+    }
 }
 
 // --- cache/cache.hh ---------------------------------------------------------
@@ -413,295 +248,201 @@ MshrTable::loadState(serial::Reader &r)
 // every tag in (set, way) order, then per way u8 valid, u8 dirty,
 // u64 lastUse.
 
+template <class Ar>
 void
-SectoredCache::saveState(serial::Writer &w) const
+SectoredCache::io(Ar &ar)
 {
-    std::vector<Addr> tags;
-    tags.reserve(numSets_ * assoc_);
-    for (size_t set = 0; set < numSets_; ++set)
-        tags.insert(tags.end(), setAt(set), setAt(set) + assoc_);
-    w.vec(tags);
-    for (size_t set = 0; set < numSets_; ++set) {
-        const uint64_t *const way = setAt(set) + assoc_;
-        for (int i = 0; i < assoc_; ++i) {
-            w.u8(static_cast<uint8_t>(way[i] & kValidMask));
-            w.u8(static_cast<uint8_t>((way[i] >> kSectorsPerLine) &
-                                      kValidMask));
-            w.u64(way[i] >> kUseShift);
-        }
+    std::vector<Addr> tags(numSets_ * assoc_);
+    if constexpr (!Ar::kLoading) {
+        for (size_t set = 0; set < numSets_; ++set)
+            std::copy_n(setAt(set), assoc_, tags.begin() + set * assoc_);
     }
-    w.u64(useClock_);
-    w.u64(accesses_);
-    w.u64(hits_);
-    w.u64(sectorMisses_);
-    w.u64(lineMisses_);
-    w.u64(bypasses_);
-}
-
-void
-SectoredCache::loadState(serial::Reader &r)
-{
-    std::vector<Addr> tags;
-    r.vec(tags);
-    expectCount(tags.size(), numSets_ * assoc_, "cache ways");
+    ar.vec(tags, "cache ways");
     for (size_t set = 0; set < numSets_; ++set) {
-        uint64_t *const way =
+        if constexpr (Ar::kLoading)
             std::copy_n(tags.begin() + set * assoc_, assoc_, setAt(set));
+        uint64_t *const way = setAt(set) + assoc_;
         for (int i = 0; i < assoc_; ++i) {
-            const uint64_t valid = r.u8();
-            const uint64_t dirty = r.u8();
-            const uint64_t last_use = r.u64();
-            if ((valid | dirty) > kValidMask ||
-                last_use >> (64 - kUseShift) != 0)
-                badState("cache way state");
-            way[i] = last_use << kUseShift |
-                     dirty << kSectorsPerLine | valid;
+            uint64_t valid = way[i] & kValidMask;
+            uint64_t dirty = (way[i] >> kSectorsPerLine) & kValidMask;
+            uint64_t last_use = way[i] >> kUseShift;
+            ar.u8(valid);
+            ar.u8(dirty);
+            ar.u64(last_use);
+            if constexpr (Ar::kLoading) {
+                if ((valid | dirty) > kValidMask ||
+                    last_use >> (64 - kUseShift) != 0)
+                    ar.mismatch("cache way state");
+                way[i] = last_use << kUseShift |
+                         dirty << kSectorsPerLine | valid;
+            }
         }
     }
-    useClock_ = r.u64();
-    accesses_ = r.u64();
-    hits_ = r.u64();
-    sectorMisses_ = r.u64();
-    lineMisses_ = r.u64();
-    bypasses_ = r.u64();
+    ar.u64(useClock_);
+    ar.u64(accesses_);
+    ar.u64(hits_);
+    ar.u64(sectorMisses_);
+    ar.u64(lineMisses_);
+    ar.u64(bypasses_);
 }
 
 // --- mem/page_table.hh ------------------------------------------------------
 
+template <class Ar>
 void
-PageTable::saveState(serial::Writer &w) const
+PageTable::io(Ar &ar)
 {
-    w.u64(gen_);
-    w.u64(segments_.size());
-    for (const auto &[start, s] : segments_) {
-        w.u64(start);
-        w.u64(s.end);
-        w.u64(s.anchor);
-        w.u64(s.gen);
-        w.u8(static_cast<uint8_t>(s.kind));
-        w.u32(static_cast<uint32_t>(s.node));
-        w.u64(s.granule);
-        w.vec(s.nodes);
+    if constexpr (Ar::kLoading) {
+        segments_.clear();
+        exceptions_.clear();
     }
-    w.u64(exceptions_.size());
-    for (const auto &[page, e] : exceptions_) {
-        w.u64(page);
-        w.u32(static_cast<uint32_t>(e.node));
-        w.u64(e.gen);
-    }
+    ar.u64(gen_);
+    ar.map(segments_, [&](Segment &s) {
+        ar.u64(s.end);
+        ar.u64(s.anchor);
+        ar.u64(s.gen);
+        ar.u8(s.kind);
+        ar.u32(s.node);
+        ar.u64(s.granule);
+        ar.vec(s.nodes);
+    });
+    ar.map(exceptions_, [&](PageExc &e) {
+        ar.u32(e.node);
+        ar.u64(e.gen);
+    });
     // The TLB and its counters ride along: they are published stats, so
     // a cold-TLB restore would diverge from the uninterrupted run.
-    for (const TlbEntry &e : tlb_) {
-        w.u64(e.tag);
-        w.u32(static_cast<uint32_t>(e.node));
-    }
-    w.u64(tlbHits_);
-    w.u64(tlbMisses_);
-    w.u64(tlbFlushes_);
-}
-
-void
-PageTable::loadState(serial::Reader &r)
-{
-    gen_ = r.u64();
-    segments_.clear();
-    for (uint64_t n = r.u64(); n; --n) {
-        const Addr start = r.u64();
-        Segment s;
-        s.end = r.u64();
-        s.anchor = r.u64();
-        s.gen = r.u64();
-        s.kind = static_cast<SegKind>(r.u8());
-        s.node = static_cast<NodeId>(r.u32());
-        s.granule = r.u64();
-        r.vec(s.nodes);
-        segments_.emplace_hint(segments_.end(), start, std::move(s));
-    }
-    exceptions_.clear();
-    const uint64_t num_exc = r.u64();
-    exceptions_.reserve(static_cast<size_t>(num_exc));
-    for (uint64_t n = num_exc; n; --n) {
-        const uint64_t page = r.u64();
-        PageExc e;
-        e.node = static_cast<NodeId>(r.u32());
-        e.gen = r.u64();
-        exceptions_.emplace(page, e);
-    }
     for (TlbEntry &e : tlb_) {
-        e.tag = r.u64();
-        e.node = static_cast<NodeId>(r.u32());
+        ar.u64(e.tag);
+        ar.u32(e.node);
     }
-    tlbHits_ = r.u64();
-    tlbMisses_ = r.u64();
-    tlbFlushes_ = r.u64();
+    ar.u64(tlbHits_);
+    ar.u64(tlbMisses_);
+    ar.u64(tlbFlushes_);
 }
 
 // --- mem/dram.hh, mem/uvm.hh, mem/migration.hh ------------------------------
 
+template <class Ar>
 void
-Dram::saveState(serial::Writer &w) const
+Dram::io(Ar &ar)
 {
-    server_.saveState(w);
-    w.u64(accesses_);
+    ar.io(server_);
+    ar.u64(accesses_);
 }
 
+template <class Ar>
 void
-Dram::loadState(serial::Reader &r)
+Uvm::io(Ar &ar)
 {
-    server_.loadState(r);
-    accesses_ = r.u64();
+    ar.u64(faults_);
 }
 
+template <class Ar>
 void
-Uvm::saveState(serial::Writer &w) const
+MigrationEngine::io(Ar &ar)
 {
-    w.u64(faults_);
-}
-
-void
-Uvm::loadState(serial::Reader &r)
-{
-    faults_ = r.u64();
-}
-
-void
-MigrationEngine::saveState(serial::Writer &w) const
-{
-    w.u64(streaks_.size());
-    for (const auto &[page, s] : streaks_) {
-        w.u64(page);
-        w.u32(static_cast<uint32_t>(s.node));
-        w.u32(s.count);
-    }
-    w.u64(migrations_);
-}
-
-void
-MigrationEngine::loadState(serial::Reader &r)
-{
-    streaks_.clear();
-    const uint64_t n = r.u64();
-    streaks_.reserve(static_cast<size_t>(n));
-    for (uint64_t i = 0; i < n; ++i) {
-        const uint64_t page = r.u64();
-        Streak s;
-        s.node = static_cast<NodeId>(r.u32());
-        s.count = r.u32();
-        streaks_.emplace(page, s);
-    }
-    migrations_ = r.u64();
+    if constexpr (Ar::kLoading)
+        streaks_.clear();
+    ar.map(streaks_, [&](Streak &s) {
+        ar.u32(s.node);
+        ar.u32(s.count);
+    });
+    ar.u64(migrations_);
 }
 
 // --- interconnect ----------------------------------------------------------
 
+template <class Ar>
 void
-Network::saveState(serial::Writer &w) const
+Link::io(Ar &ar)
 {
-    w.u64(interNodeBytes_);
-    w.u64(interGpuBytes_);
-    w.u64(severedCrossings_);
-    for (const Link &l : links_)
-        l.saveState(w);
+    ar.io(server_);
 }
 
+template <class Ar>
 void
-Network::loadState(serial::Reader &r)
+Network::io(Ar &ar)
 {
-    interNodeBytes_ = r.u64();
-    interGpuBytes_ = r.u64();
-    severedCrossings_ = r.u64();
+    ar.u64(interNodeBytes_);
+    ar.u64(interGpuBytes_);
+    ar.u64(severedCrossings_);
     for (Link &l : links_)
-        l.loadState(r);
+        ar.io(l);
 }
 
 // --- sim/memory_system.hh ---------------------------------------------------
 
+template <class Ar>
 void
-MemorySystem::saveState(serial::Writer &w) const
+MemorySystem::io(Ar &ar)
 {
-    pageTable_.saveState(w);
-    uvm_.saveState(w);
-    w.u64(l1_.size());
-    for (const SectoredCache &c : l1_)
-        c.saveState(w);
-    w.u64(l2_.size());
-    for (const SectoredCache &c : l2_)
-        c.saveState(w);
-    w.u64(dram_.size());
-    for (const Dram &d : dram_)
-        d.saveState(w);
-    w.u64(xbar_.size());
-    for (const BandwidthServer &b : xbar_)
-        b.saveState(w);
-    migration_.saveState(w);
-    net_->saveState(w);
-    w.u8(static_cast<uint8_t>(policy_));
-    w.u64(pending_.size());
-    for (const MshrTable &t : pending_)
-        t.saveState(w);
-    w.vec(pendingSweepAt_);
-    w.vec(fetchLocal_);
-    w.vec(fetchRemote_);
-    w.u64(ctr_.size());
-    for (const NodeCounters &c : ctr_) {
-        w.u64(c.delayXbar);
-        w.u64(c.delayNet);
-        w.u64(c.delayDram);
-        w.u64(c.l1Hits);
-        w.u64(c.l1Accesses);
-        w.u64(c.mshrMerges);
-        w.u64(c.writebackSectors);
-        w.u64(c.rehomedPages);
-        w.u64(c.failedNodeAccesses);
-        for (const uint64_t v : c.clsAcc)
-            w.u64(v);
-        for (const uint64_t v : c.clsHit)
-            w.u64(v);
+    ar.io(pageTable_);
+    ar.io(uvm_);
+    ar.count(l1_.size(), "L1 caches");
+    for (SectoredCache &c : l1_)
+        ar.io(c);
+    ar.count(l2_.size(), "L2 caches");
+    for (SectoredCache &c : l2_)
+        ar.io(c);
+    ar.count(dram_.size(), "DRAM channels");
+    for (Dram &d : dram_)
+        ar.io(d);
+    ar.count(xbar_.size(), "crossbars");
+    for (BandwidthServer &b : xbar_)
+        ar.io(b);
+    ar.io(migration_);
+    ar.io(*net_);
+    ar.u8(policy_);
+    ar.count(pending_.size(), "MSHR tables");
+    for (MshrTable &t : pending_)
+        ar.io(t);
+    ar.vec(pendingSweepAt_);
+    ar.vec(fetchLocal_);
+    ar.vec(fetchRemote_);
+    ar.count(ctr_.size(), "node counters");
+    for (NodeCounters &c : ctr_) {
+        ar.u64(c.delayXbar);
+        ar.u64(c.delayNet);
+        ar.u64(c.delayDram);
+        ar.u64(c.l1Hits);
+        ar.u64(c.l1Accesses);
+        ar.u64(c.mshrMerges);
+        ar.u64(c.writebackSectors);
+        ar.u64(c.rehomedPages);
+        ar.u64(c.failedNodeAccesses);
+        for (uint64_t &v : c.clsAcc)
+            ar.u64(v);
+        for (uint64_t &v : c.clsHit)
+            ar.u64(v);
     }
 }
 
-void
-MemorySystem::loadState(serial::Reader &r)
-{
-    pageTable_.loadState(r);
-    uvm_.loadState(r);
-    expectCount(r.u64(), l1_.size(), "L1 caches");
-    for (SectoredCache &c : l1_)
-        c.loadState(r);
-    expectCount(r.u64(), l2_.size(), "L2 caches");
-    for (SectoredCache &c : l2_)
-        c.loadState(r);
-    expectCount(r.u64(), dram_.size(), "DRAM channels");
-    for (Dram &d : dram_)
-        d.loadState(r);
-    expectCount(r.u64(), xbar_.size(), "crossbars");
-    for (BandwidthServer &b : xbar_)
-        b.loadState(r);
-    migration_.loadState(r);
-    net_->loadState(r);
-    policy_ = static_cast<L2InsertPolicy>(r.u8());
-    expectCount(r.u64(), pending_.size(), "MSHR tables");
-    for (MshrTable &t : pending_)
-        t.loadState(r);
-    r.vec(pendingSweepAt_);
-    r.vec(fetchLocal_);
-    r.vec(fetchRemote_);
-    expectCount(r.u64(), ctr_.size(), "node counters");
-    for (NodeCounters &c : ctr_) {
-        c.delayXbar = r.u64();
-        c.delayNet = r.u64();
-        c.delayDram = r.u64();
-        c.l1Hits = r.u64();
-        c.l1Accesses = r.u64();
-        c.mshrMerges = r.u64();
-        c.writebackSectors = r.u64();
-        c.rehomedPages = r.u64();
-        c.failedNodeAccesses = r.u64();
-        for (uint64_t &v : c.clsAcc)
-            v = r.u64();
-        for (uint64_t &v : c.clsHit)
-            v = r.u64();
-    }
-}
+#define LADM_IO_BOTH(T)                                                     \
+    template void T::io(serial::Writer &);                                 \
+    template void T::io(serial::Reader &)
+
+LADM_IO_BOTH(BandwidthServer);
+LADM_IO_BOTH(Rng);
+LADM_IO_BOTH(Counter);
+LADM_IO_BOTH(Average);
+LADM_IO_BOTH(Histogram);
+LADM_IO_BOTH(LogHistogram);
+LADM_IO_BOTH(StatGroup);
+LADM_IO_BOTH(telemetry::Snapshot);
+LADM_IO_BOTH(telemetry::StatRegistry);
+LADM_IO_BOTH(obs::Timeline);
+LADM_IO_BOTH(EventQueue);
+LADM_IO_BOTH(MshrTable);
+LADM_IO_BOTH(SectoredCache);
+LADM_IO_BOTH(PageTable);
+LADM_IO_BOTH(Dram);
+LADM_IO_BOTH(Uvm);
+LADM_IO_BOTH(MigrationEngine);
+LADM_IO_BOTH(Link);
+LADM_IO_BOTH(Network);
+LADM_IO_BOTH(MemorySystem);
+
+#undef LADM_IO_BOTH
 
 } // namespace ladm

@@ -268,7 +268,7 @@ struct GoldenDigest
 /**
  * Route a fixed 10k-transfer sequence (non-decreasing issue times,
  * uniform src/dst including src == dst, five payload sizes) and digest
- * the fabric: delay sequence, byte totals, saveState bytes, and every
+ * the fabric: delay sequence, byte totals, checkpoint bytes, and every
  * registry gauge read at the final cycle.
  */
 GoldenDigest
@@ -301,7 +301,7 @@ digestNetwork(const SystemConfig &cfg)
 
     serial::Writer w;
     w.beginSection(1);
-    net->saveState(w);
+    w.io(*net);
     w.endSection();
     const std::string img = w.finish(0);
     g.state = fnv1a(kFnvBasis, img.data(), img.size());

@@ -584,7 +584,7 @@ class WayMajorCacheReference
     }
 
     void
-    saveState(serial::Writer &w) const
+    io(serial::Writer &w) const
     {
         w.vec(tags_);
         for (const WayMeta &m : meta_) {
@@ -645,7 +645,7 @@ checkpointBytes(const Cache &c)
 {
     serial::Writer w;
     w.beginSection(1);
-    c.saveState(w);
+    w.io(c);
     w.endSection();
     return w.finish(0);
 }
@@ -654,7 +654,7 @@ checkpointBytes(const Cache &c)
  * Drive the packed cache and the way-major reference with one random
  * op stream and require identical results, eviction reports, counters
  * and checkpoint bytes throughout. Halfway through, the packed cache is
- * replaced by one restored from its own checkpoint, so loadState is
+ * replaced by one restored from its own checkpoint, so loading is
  * held to the same stream.
  */
 void
@@ -724,7 +724,7 @@ expectCacheMatchesWayMajor(Bytes size, int assoc, uint64_t seed)
             serial::Reader r(checkpointBytes(*got));
             r.openSection(1);
             got = std::make_unique<SectoredCache>(size, assoc, "restored");
-            got->loadState(r);
+            r.io(*got);
         }
     }
     EXPECT_EQ(got->accesses(), ref.accesses_);

@@ -353,7 +353,7 @@ TEST(AccessGolden, DirectReplayPinsCyclesAndState)
     }
     serial::Writer w;
     w.beginSection(1);
-    mem.saveState(w);
+    w.io(mem);
     w.endSection();
     const std::string image = w.finish(0);
 
