@@ -33,7 +33,6 @@
 #ifndef LADM_BENCH_BENCH_UTIL_HH
 #define LADM_BENCH_BENCH_UTIL_HH
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -205,23 +204,6 @@ runGrid(const std::vector<core::SweepCell> &cells, int jobs = 0)
 
 // Cross-workload aggregation uses the NaN-safe ladm::geomean / ladm::mean
 // from core/metrics.hh (previously a private copy lived here).
-
-/**
- * Guarded rate: @p count events over @p seconds of wall time, as a
- * finite events-per-second figure. A grid point that runs zero warp
- * steps (an empty workload at a tiny LADM_BENCH_SCALE) or completes
- * under the clock's resolution must report 0, not NaN/inf -- a non-finite
- * rate poisons every downstream aggregate and the JSON sinks.
- */
-inline double
-safeRate(double count, double seconds)
-{
-    if (!(seconds > 0.0) || !std::isfinite(seconds) ||
-        !std::isfinite(count) || count <= 0.0)
-        return 0.0;
-    const double rate = count / seconds;
-    return std::isfinite(rate) ? rate : 0.0;
-}
 
 /** The locality-class section labels of Figs. 9/10, in Table IV order. */
 inline const std::vector<std::pair<std::string, std::vector<std::string>>> &

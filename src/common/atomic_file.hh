@@ -4,12 +4,12 @@
  *
  * Every sink the simulator leaves behind (stats JSON/CSV, timelines,
  * traces, BENCH_*.json, checkpoints) is consumed by other tools --
- * ladm-report, the simperf CI gate, --resume. A process killed halfway
- * through a bare ofstream write leaves a torn file those tools then
- * choke on. atomicWriteFile() instead builds the content in memory,
- * writes it to `<path>.tmp.<pid>`, fsyncs, and rename(2)s into place:
- * readers observe either the complete old file or the complete new one,
- * never a prefix.
+ * ladm-report, --resume, scripts reading the bench sinks. A process
+ * killed halfway through a bare ofstream write leaves a torn file those
+ * tools then choke on. atomicWriteFile() instead builds the content in
+ * memory, writes it to `<path>.tmp.<pid>`, fsyncs, and rename(2)s into
+ * place: readers observe either the complete old file or the complete
+ * new one, never a prefix.
  *
  * "-" is NOT handled here; stdout streaming stays the caller's business.
  */

@@ -65,9 +65,6 @@ class Rng
      */
     uint64_t nextZipf(uint64_t n, double alpha);
 
-    /** Checkpoint the stream position (snapshot/component_state.cc). */
-    template <class Ar> void io(Ar &ar);
-
   private:
     static uint64_t
     rotl(uint64_t x, int k)

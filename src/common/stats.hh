@@ -251,10 +251,6 @@ class StatGroup
     {
         return histograms_;
     }
-    const std::map<std::string, LogHistogram> &logHistograms() const
-    {
-        return logHistograms_;
-    }
 
     /**
      * Checkpoint every named entry; load re-creates entries that were

@@ -66,7 +66,6 @@ class ThreadPool
             w.join();
     }
 
-    int numThreads() const { return static_cast<int>(workers_.size()); }
     size_t capacity() const { return capacity_; }
 
     /** Pending (not yet started) tasks; an instantaneous gauge. */

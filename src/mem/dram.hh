@@ -36,7 +36,6 @@ class Dram
     }
 
     uint64_t accesses() const { return accesses_; }
-    Bytes bytesServed() const { return server_.totalBytes(); }
     Cycles busyCycles() const { return server_.busyCycles(); }
 
     void

@@ -31,11 +31,6 @@ struct ShardMap
     std::vector<int> shardOfNode;
     /** nodesOfShard[s] = the (contiguous, ascending) nodes shard s owns. */
     std::vector<std::vector<NodeId>> nodesOfShard;
-
-    int shardOfSm(const SystemConfig &cfg, SmId sm) const
-    {
-        return shardOfNode[cfg.nodeOfSm(sm)];
-    }
 };
 
 /**

@@ -60,7 +60,6 @@ class DecisionCache
     bool put(const DecisionKey &key, const std::string &encoded);
 
     size_t size() const;
-    int numShards() const { return static_cast<int>(shards_.size()); }
 
   private:
     struct Shard

@@ -36,7 +36,6 @@
 #include <string>
 
 #include "cache/cache.hh"
-#include "common/rng.hh"
 #include "common/serial.hh"
 #include "common/stats.hh"
 #include "interconnect/network.hh"
@@ -63,16 +62,6 @@ BandwidthServer::io(Ar &ar)
     ar.f64(fracBusy_);
     ar.u64(totalBytes_);
     ar.u64(busyCycles_);
-}
-
-// --- common/rng.hh ----------------------------------------------------------
-
-template <class Ar>
-void
-Rng::io(Ar &ar)
-{
-    for (uint64_t &s : state_)
-        ar.u64(s);
 }
 
 // --- common/stats.hh --------------------------------------------------------
@@ -423,7 +412,6 @@ MemorySystem::io(Ar &ar)
     template void T::io(serial::Reader &)
 
 LADM_IO_BOTH(BandwidthServer);
-LADM_IO_BOTH(Rng);
 LADM_IO_BOTH(Counter);
 LADM_IO_BOTH(Average);
 LADM_IO_BOTH(Histogram);

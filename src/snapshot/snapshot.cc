@@ -387,7 +387,7 @@ makeRunCheckpointer(const SystemConfig &cfg)
     auto ck = std::make_unique<Checkpointer>(o.out, o.every, o.testStopAt,
                                              fingerprint, seq);
     if (restore)
-        ck->armRestore(restore, -1);
+        ck->armRestore(restore);
     g_busy = true;
     return ck;
 }

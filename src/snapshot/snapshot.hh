@@ -214,19 +214,11 @@ class Checkpointer
 
     // -- restore side ----------------------------------------------------
     void
-    armRestore(std::shared_ptr<serial::Reader> r, int launch)
+    armRestore(std::shared_ptr<serial::Reader> r)
     {
         restore_ = std::move(r);
-        restoreLaunch_ = launch;
     }
     bool restorePending() const { return restore_ != nullptr; }
-    /** Called once the Experiment section names the in-flight launch. */
-    void setRestoreLaunch(int launch) { restoreLaunch_ = launch; }
-    bool
-    restoreArmedFor(int launch) const
-    {
-        return restore_ && launch == restoreLaunch_;
-    }
     serial::Reader &reader() { return *restore_; }
     void finishRestore() { restore_.reset(); }
 
@@ -242,7 +234,6 @@ class Checkpointer
     uint32_t seq_;
     std::function<void(serial::Writer &)> ctx_;
     std::shared_ptr<serial::Reader> restore_;
-    int restoreLaunch_ = -1;
 };
 
 /**

@@ -173,26 +173,42 @@ struct Parser
         return ok;
     }
 
+    /** Consume one or more decimal digits; false when there are none. */
+    bool
+    digits()
+    {
+        const size_t start = pos;
+        while (pos < text.size() &&
+               std::isdigit(static_cast<unsigned char>(text[pos])))
+            ++pos;
+        return pos > start;
+    }
+
+    /** JSON's number grammar: -?(0|[1-9]D*)(.D+)?([eE][+-]?D+)?, D a digit. */
     bool
     parseNumber(JsonValue &out)
     {
         const size_t start = pos;
         if (pos < text.size() && text[pos] == '-')
             ++pos;
-        while (pos < text.size() &&
-               (std::isdigit(static_cast<unsigned char>(text[pos])) ||
-                text[pos] == '.' || text[pos] == 'e' || text[pos] == 'E' ||
-                text[pos] == '+' || text[pos] == '-')) {
+        if (pos < text.size() && text[pos] == '0')
             ++pos;
+        else if (!digits())
+            return fail(pos == start ? "expected value" : "expected digit");
+        if (pos < text.size() && text[pos] == '.') {
+            ++pos;
+            if (!digits())
+                return fail("expected digit after '.'");
         }
-        if (pos == start)
-            return fail("expected value");
-        const std::string tok = text.substr(start, pos - start);
-        char *end = nullptr;
-        const double v = std::strtod(tok.c_str(), &end);
-        if (end != tok.c_str() + tok.size())
-            return fail("malformed number '" + tok + "'");
-        out = JsonValue::makeNumber(v);
+        if (pos < text.size() && (text[pos] == 'e' || text[pos] == 'E')) {
+            ++pos;
+            if (pos < text.size() && (text[pos] == '+' || text[pos] == '-'))
+                ++pos;
+            if (!digits())
+                return fail("expected exponent digit");
+        }
+        out = JsonValue::makeNumber(
+            std::strtod(text.substr(start, pos - start).c_str(), nullptr));
         return true;
     }
 

@@ -3,11 +3,12 @@
  * Minimal JSON DOM parser, the read-side counterpart of json_writer.hh.
  *
  * The ladm-report tool has to consume the documents our own sinks emit
- * (ladm-stats-v1, ladm-timeline-v1, ladm-simperf-v1) without third-party
- * dependencies, so this is the smallest recursive-descent parser that
- * round-trips them: the six JSON value kinds, doubles for all numbers
- * (our writer never emits integers above 2^53), and object key order
- * preserved for stable report rendering.
+ * (ladm-stats-v1, ladm-timeline-v1) without third-party dependencies, so
+ * this is the smallest recursive-descent parser that round-trips them:
+ * the six JSON value kinds, doubles for all numbers (our writer never
+ * emits integers above 2^53), and object key order preserved for stable
+ * report rendering. Tests use it as the strict well-formedness check of
+ * every sink, so it follows JSON's grammar.
  */
 
 #ifndef LADM_TELEMETRY_JSON_READER_HH

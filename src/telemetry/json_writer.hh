@@ -74,12 +74,6 @@ class JsonWriter
     bool pendingKey_ = false;
 };
 
-/**
- * Strict well-formedness check of a complete JSON document.
- * @param err optional; receives a byte offset + message on failure.
- */
-bool validateJson(const std::string &text, std::string *err = nullptr);
-
 } // namespace telemetry
 } // namespace ladm
 

@@ -24,7 +24,6 @@
 
 #include "check/invariants.hh"
 #include "common/atomic_file.hh"
-#include "common/rng.hh"
 #include "common/serial.hh"
 #include "common/sim_error.hh"
 #include "config/presets.hh"
@@ -465,26 +464,6 @@ TEST_F(SnapshotTest, ParseArgsStripsFlags)
     EXPECT_EQ(snapshot::options().resume, "b.ckpt");
 }
 
-TEST_F(SnapshotTest, RngStateRoundTrip)
-{
-    Rng a(12345);
-    for (int i = 0; i < 100; ++i)
-        a.next();
-    serial::Writer w;
-    w.beginSection(1);
-    w.io(a);
-    w.endSection();
-    const uint64_t expect0 = a.next();
-    const uint64_t expect1 = a.next();
-
-    serial::Reader r(w.finish(0));
-    r.openSection(1);
-    Rng b(1); // different seed; loading must fully overwrite
-    r.io(b);
-    EXPECT_EQ(b.next(), expect0);
-    EXPECT_EQ(b.next(), expect1);
-}
-
 // --- atomic sinks ----------------------------------------------------------
 
 TEST_F(SnapshotTest, AtomicSinkParsesAfterSimulatedTornWrite)
@@ -553,10 +532,29 @@ TEST_F(SnapshotTest, PdesFallbackDiagnosticForFaultedShardedConfig)
 
 TEST_F(SnapshotTest, PdesNoFallbackPublishesNone)
 {
+    // A plain --shards 2 run with a trace instance per shard runs the
+    // sharded loop, and both the accessor and the gauge say so.
     SystemConfig cfg = presets::multiGpu4x4();
     cfg.shards = 2;
-    const RunMetrics m = runOnce("VecAdd", 2, 0.1);
-    EXPECT_GT(m.cycles, 0u);
+    GpuSystem sys(cfg);
+    ASSERT_EQ(sys.engineShards(), 2);
+    sys.mem().pageTable().place(0, 1ull << 26, 0);
+
+    LaunchDims dims;
+    dims.grid = {32, 1};
+    dims.block = {128, 1};
+    KernelWideScheduler sched;
+    TinyTrace trace, t1;
+    const KernelRunStats ks =
+        sys.runKernel(dims, trace, sched.assign(dims, cfg),
+                      L2InsertPolicy::RTwice, true, {&t1});
+
+    EXPECT_GT(ks.endCycle, ks.startCycle);
+    EXPECT_EQ(sys.engine().pdesFallback(),
+              KernelEngine::PdesFallback::None);
+    EXPECT_EQ(
+        sys.registry().value("engine.pdes.fallback_reason").value_or(-1.0),
+        0.0);
 }
 
 // --- watchdog post-mortem --------------------------------------------------

@@ -2,7 +2,7 @@
  * @file
  * Telemetry subsystem tests: hierarchical registry path resolution,
  * snapshot/delta windows, StatGroup histograms, the JSON writer and
- * validator, exporter golden schemas, Chrome-trace ordering/nesting, CLI
+ * reader, exporter golden schemas, Chrome-trace ordering/nesting, CLI
  * flag parsing, and the end-to-end per-kernel stat windows of a real run.
  */
 
@@ -19,6 +19,7 @@
 #include "sched/kernel_wide.hh"
 #include "sim/gpu_system.hh"
 #include "telemetry/exporters.hh"
+#include "telemetry/json_reader.hh"
 #include "telemetry/json_writer.hh"
 #include "telemetry/session.hh"
 #include "telemetry/stat_registry.hh"
@@ -33,7 +34,14 @@ namespace
 using telemetry::Snapshot;
 using telemetry::StatRegistry;
 using telemetry::TraceEmitter;
-using telemetry::validateJson;
+
+/** parseJson() as a predicate: true when @p doc is well-formed JSON. */
+bool
+parsesAsJson(const std::string &doc, std::string *err = nullptr)
+{
+    telemetry::JsonValue v;
+    return telemetry::parseJson(doc, v, err);
+}
 
 // --- StatGroup (common/stats) -------------------------------------------
 
@@ -171,7 +179,7 @@ TEST(JsonWriter, EscapesAndValidates)
 
     const std::string doc = os.str();
     std::string err;
-    EXPECT_TRUE(validateJson(doc, &err)) << err << "\n" << doc;
+    EXPECT_TRUE(parsesAsJson(doc, &err)) << err << "\n" << doc;
     EXPECT_NE(doc.find("\\\""), std::string::npos);
     EXPECT_NE(doc.find("\\\\"), std::string::npos);
     EXPECT_NE(doc.find("\\t"), std::string::npos);
@@ -183,16 +191,16 @@ TEST(JsonValidator, RejectsMalformedDocuments)
     for (const char *bad :
          {"", "{", "{\"a\":}", "[1,]", "{\"a\":1,}", "{'a':1}",
           "{\"a\":1} trailing", "{\"a\":01}", "nulll",
-          "{\"a\":\"\x01\"}"}) {
+          "{\"a\":\"\x01\"}", "-01", "1.", ".5", "+1"}) {
         std::string err;
-        EXPECT_FALSE(validateJson(bad, &err)) << bad;
+        EXPECT_FALSE(parsesAsJson(bad, &err)) << bad;
         EXPECT_FALSE(err.empty()) << bad;
     }
     for (const char *good :
          {"{}", "[]", "null", "true", "-1.5e3",
           "{\"a\":[{\"b\":null}]}", "\"\\u00e9\""}) {
         std::string err;
-        EXPECT_TRUE(validateJson(good, &err)) << good << ": " << err;
+        EXPECT_TRUE(parsesAsJson(good, &err)) << good << ": " << err;
     }
 }
 
@@ -221,7 +229,7 @@ TEST_F(ExportersTest, JsonGoldenSchema)
     const std::string doc = os.str();
 
     std::string err;
-    ASSERT_TRUE(validateJson(doc, &err)) << err << "\n" << doc;
+    ASSERT_TRUE(parsesAsJson(doc, &err)) << err << "\n" << doc;
     // Versioned schema tag and label.
     EXPECT_NE(doc.find("\"schema\": \"ladm-stats-v1\""),
               std::string::npos);
@@ -283,7 +291,7 @@ TEST(TraceEmitter, MonotoneOrderingAndWellNesting)
     tr.write(os);
     const std::string doc = os.str();
     std::string err;
-    ASSERT_TRUE(validateJson(doc, &err)) << err << "\n" << doc;
+    ASSERT_TRUE(parsesAsJson(doc, &err)) << err << "\n" << doc;
     EXPECT_NE(doc.find("\"ladmTraceSchema\":\"ladm-trace-v1\""),
               std::string::npos);
 
@@ -441,7 +449,7 @@ TEST_F(SessionTest, StatsJsonDocumentWithKernelWindows)
     telemetry::session().writeStatsJson(os);
     const std::string doc = os.str();
     std::string err;
-    ASSERT_TRUE(validateJson(doc, &err)) << err;
+    ASSERT_TRUE(parsesAsJson(doc, &err)) << err;
     EXPECT_NE(doc.find("\"schema\": \"ladm-stats-v1\""),
               std::string::npos);
     EXPECT_NE(doc.find("\"workload\": \"SQ-GEMM\""), std::string::npos);
@@ -473,7 +481,7 @@ TEST_F(SessionTest, GpuSystemKernelWindowDeltas)
     // engine.kernels delta is 1 and warp steps sum to the final total.
     std::ostringstream os;
     telemetry::session().writeStatsJson(os);
-    ASSERT_TRUE(validateJson(os.str()));
+    ASSERT_TRUE(parsesAsJson(os.str()));
 }
 
 TEST_F(SessionTest, PerKernelDeltasSubtractCounters)
